@@ -28,7 +28,6 @@
 //    600  kServeScatter                   ShardedIndex scratch_mu_ / Shard::io_mu,
 //                                         scatter Latch::mu_, SharedTopK::mu_
 //    500  kTreeNodeCache                  HybridTree::node_cache_mu_
-//    400  kQuantStore                     QuantStore::mu_
 //    300  kPoolPrefetch                   BufferPool::prefetch_mu_
 //    200  kPoolShard                      BufferPool::Shard::mu (16 striped)
 //    100  kPoolFile                       BufferPool::file_mu_
@@ -73,7 +72,6 @@ enum class LockRank : uint32_t {
   kPoolFile = 100,
   kPoolShard = 200,
   kPoolPrefetch = 300,
-  kQuantStore = 400,
   kTreeNodeCache = 500,
   kServeScatter = 600,
   kThreadPool = 700,

@@ -12,8 +12,8 @@
 //      reports acquisitions/releases to the per-thread rank stack, which
 //      aborts on out-of-order acquisition when checking is enabled.
 //      Unranked mutexes (default) never call into the checker.
-//   3. Conditional locking: BufferPool, QuantStore, and the tree's parsed
-//      node cache skip their locks entirely in single-threaded mode. The
+//   3. Conditional locking: BufferPool and the tree's parsed node cache
+//      skip their locks entirely in single-threaded mode. The
 //      guards take an (mu, enabled) constructor that is a no-op when
 //      `enabled` is false but still CLAIMS the capability to the static
 //      analysis. That over-approximation is sound by the library's

@@ -7,15 +7,18 @@
 
 #include "core/split.h"
 #include "exec/thread_pool.h"
+#include "storage/quant_store.h"
 
 namespace ht {
 
 namespace {
 
-/// A built subtree: its page, its exact live box, and its tree level.
+/// A built subtree: its page, its exact live box, and — for a data page
+/// when sidecars are on — the quantized sidecar of its image.
 struct Built {
   PageId page = kInvalidPageId;
   Box live;
+  std::unique_ptr<const QuantizedPage> sidecar;
 };
 
 /// Live bounding box of a subset of rows.
@@ -179,7 +182,12 @@ Status BuildLeavesParallel(const HybridTreeOptions& options, PagedFile* file,
         bufs.emplace_back(file->page_size());
         node.Serialize(bufs.back().data(), bufs.back().size(), options.dim);
         ids.push_back(pages[i]);
-        (*level)[i] = Built{pages[i], node.ComputeLiveBr(options.dim)};
+        (*level)[i] = Built{pages[i], node.ComputeLiveBr(options.dim),
+                            options.quant_sidecars
+                                ? BuildDataPageSidecar(bufs.back().data(),
+                                                       bufs.back().size(),
+                                                       options.dim)
+                                : nullptr};
       }
       std::vector<const Page*> ptrs;
       ptrs.reserve(bufs.size());
@@ -254,7 +262,11 @@ Result<std::unique_ptr<HybridTree>> BulkLoad(const HybridTreeOptions& options,
         HT_ASSIGN_OR_RETURN(PageHandle h, tree->pool_->New());
         node.Serialize(h.data(), h.size(), options.dim);
         h.MarkDirty();
-        level.push_back(Built{h.id(), node.ComputeLiveBr(options.dim)});
+        level.push_back(Built{h.id(), node.ComputeLiveBr(options.dim),
+                              options.quant_sidecars
+                                  ? BuildDataPageSidecar(h.data(), h.size(),
+                                                         options.dim)
+                                  : nullptr});
         return Status::OK();
       }
       const size_t cut =
@@ -270,6 +282,10 @@ Result<std::unique_ptr<HybridTree>> BulkLoad(const HybridTreeOptions& options,
     };
     HT_RETURN_NOT_OK(build_leaves(all));
   }
+
+  // Every data page gets its sidecar from the image it was written with
+  // (the tree's write paths keep them current from here on).
+  for (Built& b : level) tree->quant_store_.Put(b.page, std::move(b.sidecar));
 
   // --- Stage 2: build index levels over contiguous runs. ------------------
   // Children per node are limited by serialized size; estimate the run
@@ -311,7 +327,7 @@ Result<std::unique_ptr<HybridTree>> BulkLoad(const HybridTreeOptions& options,
       const PageId page = h.id();
       h.Release();
       HT_RETURN_NOT_OK(tree->WriteIndexNode(page, node));
-      next.push_back(Built{page, node_live});
+      next.push_back(Built{page, node_live, nullptr});
     }
     level = std::move(next);
   }
@@ -321,9 +337,9 @@ Result<std::unique_ptr<HybridTree>> BulkLoad(const HybridTreeOptions& options,
   tree->root_ = level[0].page;
   tree->height_ = level_no;
   tree->count_ = data.size();
-  tree->quant_store_.Invalidate(placeholder);
   HT_RETURN_NOT_OK(tree->pool_->Free(placeholder));
   HT_RETURN_NOT_OK(tree->WriteMeta());
+  tree->DebugValidate();
   return tree;
 }
 

@@ -7,6 +7,7 @@
 #include <functional>
 #include <numeric>
 #include <queue>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 
@@ -118,10 +119,12 @@ Result<std::unique_ptr<HybridTree>> HybridTree::Open(PagedFile* file,
   tree->root_ = root;
   tree->height_ = height;
   tree->count_ = count;
-  if (options.els_mode == ElsMode::kInMemory && options.els_bits > 0) {
-    // The sidecar is not persisted; rebuild exact codes with one DFS.
-    HT_RETURN_NOT_OK(tree->RebuildEls());
+  {
+    // Opening is single-threaded by contract, like construction.
+    ExclusiveRole role(&tree->rw_contract_);
+    HT_RETURN_NOT_OK(tree->LoadDirectory());
   }
+  HT_RETURN_NOT_OK(tree->DebugValidateDirectory());
   return tree;
 }
 
@@ -183,10 +186,17 @@ Result<DataNode> HybridTree::ReadDataNode(PageId id) {
 
 Status HybridTree::WriteDataNode(PageId id, const DataNode& node) {
   HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(id));
+  WriteDataNode(h, node);
+  return Status::OK();
+}
+
+void HybridTree::WriteDataNode(PageHandle& h, const DataNode& node) {
   node.Serialize(h.data(), h.size(), options_.dim);
   h.MarkDirty();
-  quant_store_.Invalidate(id);
-  return Status::OK();
+  quant_store_.Put(h.id(),
+                   options_.quant_sidecars
+                       ? BuildDataPageSidecar(h.data(), h.size(), options_.dim)
+                       : nullptr);
 }
 
 Result<IndexNode> HybridTree::ReadIndexNode(PageId id) {
@@ -271,15 +281,20 @@ Status HybridTree::SetConcurrentReads(bool on) {
 }
 
 Status HybridTree::WriteIndexNode(PageId id, IndexNode& node) {
-  InvalidateCachedNode(id);
-  if (els_enabled()) EnsureCodes(node.root.get());
   HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(id));
+  StoreElsCodes(id, node);
   node.Serialize(h.data(), h.size(), els_in_page(), codec_.CodeBytes());
   h.MarkDirty();
-  if (options_.els_mode == ElsMode::kInMemory && options_.els_bits > 0) {
+  return Status::OK();
+}
+
+void HybridTree::StoreElsCodes(PageId id, IndexNode& node) {
+  InvalidateCachedNode(id);
+  if (!els_enabled()) return;
+  EnsureCodes(node.root.get());
+  if (!els_in_page()) {
     els_sidecar_[id] = node.ExtractElsBlob(codec_.CodeBytes());
   }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -418,7 +433,10 @@ Result<HybridTree::BatchOutcome> HybridTree::InsertBatchRec(
   }
 
   HT_ASSIGN_OR_RETURN(IndexNode node, ReadIndexNode(page));
+  // `dirtied`: the page image changed. `els_grown`: only ELS codes did,
+  // which rewrites the page only when the codes live in it.
   bool dirtied = false;
+  bool els_grown = false;
   BatchOutcome out;
   std::vector<uint32_t> pending = std::move(idxs);
   while (!pending.empty()) {
@@ -437,7 +455,7 @@ Result<HybridTree::BatchOutcome> HybridTree::InsertBatchRec(
         ElsCode grown = codec_.ExtendToInclude(t.leaf->els, t.kd_br, p);
         if (grown != t.leaf->els) {
           t.leaf->els = std::move(grown);
-          dirtied = true;
+          els_grown = true;
         }
       }
       auto [it, fresh] = bucket_of.try_emplace(t.leaf, buckets.size());
@@ -519,8 +537,10 @@ Result<HybridTree::BatchOutcome> HybridTree::InsertBatchRec(
     }
     pending = std::move(bounced);
   }
-  if (dirtied) {
+  if (dirtied || (els_grown && els_in_page())) {
     HT_RETURN_NOT_OK(WriteIndexNode(page, node));
+  } else if (els_grown) {
+    StoreElsCodes(page, node);
   }
   return out;
 }
@@ -638,14 +658,17 @@ Result<HybridTree::SplitResult> HybridTree::InsertRec(
   }
 
   HT_ASSIGN_OR_RETURN(IndexNode node, ReadIndexNode(page));
+  // `dirtied`: the page image changed. `els_grown`: only ELS codes did,
+  // which rewrites the page only when the codes live in it.
   bool dirtied = false;
+  bool els_grown = false;
   ChildRef target = FindLeafForInsert(node, point, br, &dirtied);
   if (els_enabled()) {
     ElsCode grown =
         codec_.ExtendToInclude(target.leaf->els, target.kd_br, point);
     if (grown != target.leaf->els) {
       target.leaf->els = std::move(grown);
-      dirtied = true;
+      els_grown = true;
     }
   }
   const PageId child_page = target.leaf->child;
@@ -678,8 +701,10 @@ Result<HybridTree::SplitResult> HybridTree::InsertRec(
   if (node.SerializedSize(els_in_page()) > options_.page_size) {
     return SplitIndexNode(page, node, br);
   }
-  if (dirtied) {
+  if (dirtied || (els_grown && els_in_page())) {
     HT_RETURN_NOT_OK(WriteIndexNode(page, node));
+  } else if (els_grown) {
+    StoreElsCodes(page, node);
   }
   return SplitResult{};
 }
@@ -705,8 +730,7 @@ Result<HybridTree::SplitResult> HybridTree::SplitDataNode(PageId page,
   HT_RETURN_NOT_OK(WriteDataNode(page, left));
   HT_ASSIGN_OR_RETURN(PageHandle rh, pool_->New());
   const PageId right_page = rh.id();
-  right.Serialize(rh.data(), rh.size(), options_.dim);
-  rh.MarkDirty();
+  WriteDataNode(rh, right);
   rh.Release();
 
   SplitResult out;
@@ -1054,51 +1078,68 @@ void BatchPageDistances(const DistanceMetric& metric,
 
 }  // namespace
 
-bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
-                             size_t n, std::span<const float> center,
-                             const DistanceMetric& metric, double bound,
-                             SearchScratch* scratch,
-                             std::shared_ptr<const QuantizedPage>* qp_out,
-                             bool cursor_path) const {
+const QuantizedPage* HybridTree::UsableSidecar(
+    PageId page, const DistanceMetric& metric) const {
   // At the scalar dispatch tier the sidecars are pure overhead: the scalar
   // code pass costs more per row than the early-abandoning exact scan it
   // would save, and the transposed float mirror only accelerates SIMD
   // loads. So a scalar-tier scan (no SIMD on this host, or HT_SIMD=scalar)
-  // runs exactly the pre-sidecar hot path and builds nothing. A metric
-  // with no code-space machinery (SupportsCodeFilter false, e.g. the
-  // QuadraticForm fallback) takes the same exit BEFORE the sidecar lookup:
-  // building codes it can never filter with would only fill QuantStore
-  // with useless pages.
-  if (!options_.quant_sidecars || blk == nullptr || n == 0 ||
+  // runs exactly the pre-sidecar hot path and reads every page it visits.
+  // A metric with no code-space machinery (SupportsCodeFilter false, e.g.
+  // the QuadraticForm fallback) takes the same exit.
+  if (!options_.quant_sidecars || options_.disable_batch_kernels ||
       !metric.SupportsCodeFilter() ||
       kernels::ActiveTier() == kernels::SimdTier::kScalar) {
-    pool_->CountScan(page, n, n, /*filtered=*/false, cursor_path);
-    return false;
+    return nullptr;
   }
-  // The sidecar is fetched (and lazily built) even when code filtering is
-  // off the table: its transposed mirror speeds up the exact batch pass
-  // regardless of the bound.
-  std::shared_ptr<const QuantizedPage> qp =
-      quant_store_.GetOrBuild(page, blk, stride, n, options_.dim,
-                              concurrent_reads_);
-  if (qp_out != nullptr) *qp_out = qp;
+  return quant_store_.Lookup(page);
+}
+
+size_t HybridTree::CodeMasks(const QuantizedPage& qp,
+                             std::span<const float> center,
+                             const DistanceMetric& metric, double bound,
+                             SearchScratch* scratch) {
   // Code filtering is pointless when the bound prunes nothing (k-NN heap
   // not yet full): every row would survive.
-  if (qp == nullptr || bound >= std::numeric_limits<double>::max()) {
-    pool_->CountScan(page, n, n, /*filtered=*/false, cursor_path);
-    return false;
-  }
+  if (bound >= std::numeric_limits<double>::max()) return 0;
+  const size_t nmask = (qp.count() + kernels::kTBlock - 1) / kernels::kTBlock;
+  if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
+  // The fused mask kernels decide survival in-register and hand back one
+  // bit per row — on a 99%-pruned scan the decode touches one mostly-zero
+  // byte per 8 rows instead of 8 double bounds.
+  return metric.CodeFilterMasks(center, qp.view(), bound, &scratch->quant,
+                                scratch->masks.data())
+             ? nmask
+             : 0;
+}
+
+bool HybridTree::SidecarRulesOut(PageId page, std::span<const float> center,
+                                 const DistanceMetric& metric, double bound,
+                                 SearchScratch* scratch) const {
+  const QuantizedPage* qp = UsableSidecar(page, metric);
+  const size_t nmask =
+      qp != nullptr ? CodeMasks(*qp, center, metric, bound, scratch) : 0;
+  return nmask > 0 &&
+         std::all_of(scratch->masks.begin(),
+                     scratch->masks.begin() + static_cast<ptrdiff_t>(nmask),
+                     [](uint8_t m) { return m == 0; });
+}
+
+template <typename Visit>
+Status HybridTree::ScanDataPage(PageId page, const QuantizedPage* qp,
+                                PageHandle h, std::span<const float> center,
+                                const DistanceMetric& metric, double bound,
+                                std::span<const PageId> readahead,
+                                SearchScratch* scratch, bool cursor_path,
+                                Visit&& visit) const {
   // Survivors in ascending row order, so refinement replays the exact
   // per-row decision sequence of the unfiltered scan.
   auto& surv = scratch->survivors;
-  surv.clear();
-  // Fast path: the fused mask kernels decide survival in-register and hand
-  // back one bit per row — on a 99%-pruned scan the decode below touches
-  // one mostly-zero byte per 8 rows instead of 8 double bounds.
-  const size_t nmask = (n + kernels::kTBlock - 1) / kernels::kTBlock;
-  if (scratch->masks.size() < nmask) scratch->masks.resize(nmask);
-  if (metric.CodeFilterMasks(center, qp->view(), bound, &scratch->quant,
-                             scratch->masks.data())) {
+  const size_t nmask =
+      qp != nullptr ? CodeMasks(*qp, center, metric, bound, scratch) : 0;
+  const bool filtered = nmask > 0;
+  if (filtered) {
+    surv.clear();
     for (size_t b = 0; b < nmask; ++b) {
       unsigned m = scratch->masks[b];
       while (m != 0) {
@@ -1107,81 +1148,71 @@ bool HybridTree::QuantFilter(PageId page, const float* blk, size_t stride,
         m &= m - 1;
       }
     }
-    pool_->CountScan(page, n, surv.size(), /*filtered=*/true, cursor_path);
-    return true;
+    pool_->CountScan(page, qp->count(), surv.size(), /*filtered=*/true,
+                     cursor_path);
+    // The sidecar rules out every row: the page itself is never read.
+    if (surv.empty()) return Status::OK();
   }
-  if (scratch->lb.size() < n) scratch->lb.resize(n);
-  if (!metric.CodeLowerBounds(center, qp->view(), &scratch->quant,
-                              scratch->lb.data())) {
-    pool_->CountScan(page, n, n, /*filtered=*/false, cursor_path);
-    return false;
+  if (!h.valid()) {
+    if (!readahead.empty()) pool_->Prefetch(readahead);
+    HT_ASSIGN_OR_RETURN(h, pool_->Fetch(page));
   }
-  const double* lb = scratch->lb.data();
-  for (size_t i = 0; i < n; ++i) {
-    if (lb[i] <= bound) surv.push_back(static_cast<uint32_t>(i));
+  DataPageScan scan(h.data(), h.size(), options_.dim);
+  if (!scan.ok()) return Status::Corruption("expected data node page");
+  const size_t n = scan.count();
+  const float* blk = options_.disable_batch_kernels ? nullptr : scan.block();
+  if (qp != nullptr && (n != qp->count() || blk == nullptr)) {
+    return Status::Corruption("quantized sidecar does not match its page");
   }
-  pool_->CountScan(page, n, surv.size(), /*filtered=*/true, cursor_path);
-  return true;
+  if (!filtered) pool_->CountScan(page, n, n, /*filtered=*/false, cursor_path);
+  if (filtered && surv.size() * 4 <= n) {
+    // Sparse survivor sets refine row by row (Distance() accumulates
+    // exactly like an unabandoned kernel row).
+    for (const uint32_t i : surv) {
+      visit(metric.Distance(center, scan.vec(i)), scan.id(i));
+    }
+    return Status::OK();
+  }
+  if (blk == nullptr) {
+    for (size_t i = 0; i < n; ++i) {
+      visit(metric.Distance(center, scan.vec(i)), scan.id(i));
+    }
+    return Status::OK();
+  }
+  // One batch kernel call for the whole page (dense survivor sets too:
+  // cheaper than many strided scalar rows). Rows whose partial sum
+  // exceeds `bound` are abandoned; their output is above `bound`, which
+  // is all a visitor may look at for them.
+  if (scratch->dist.size() < n) scratch->dist.resize(n);
+  BatchPageDistances(metric, center, qp, blk, scan.stride_floats(), n, bound,
+                     scratch->dist.data());
+  const double* dist = scratch->dist.data();
+  if (filtered) {
+    for (const uint32_t i : surv) visit(dist[i], scan.id(i));
+  } else {
+    for (size_t i = 0; i < n; ++i) visit(dist[i], scan.id(i));
+  }
+  return Status::OK();
 }
 
 Status HybridTree::SearchRangeRec(PageId page, std::span<const float> center,
                                   double radius, const DistanceMetric& metric,
                                   SearchScratch* scratch,
                                   std::vector<uint64_t>* out) const {
+  // Rows the code filter prunes lie beyond the radius and could not have
+  // been reported; survivors are tested exactly like the unfiltered scan,
+  // so `out` is byte-identical either way.
+  const auto report = [out, radius](double d, uint64_t id) {
+    if (d <= radius) out->push_back(id);
+  };
+  if (const QuantizedPage* qp = UsableSidecar(page, metric)) {
+    return ScanDataPage(page, qp, PageHandle(), center, metric, radius, {},
+                        scratch, /*cursor_path=*/false, report);
+  }
   HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
-  const NodeKind kind = PeekNodeKind(h.data());
-  if (kind == NodeKind::kData) {
-    DataPageScan scan(h.data(), h.size(), options_.dim);
-    if (!scan.ok()) return Status::Corruption("expected data node page");
-    const size_t n = scan.count();
-    const float* blk =
-        options_.disable_batch_kernels ? nullptr : scan.block();
-    std::shared_ptr<const QuantizedPage> qp;
-    if (QuantFilter(page, blk, scan.stride_floats(), n, center, metric,
-                    radius, scratch, &qp)) {
-      // Pruned rows have lb > radius, hence distance > radius: they could
-      // not have been reported. Survivors are tested exactly like the
-      // unfiltered scan, so `out` is byte-identical. Sparse survivor sets
-      // refine with per-row exact distances; dense ones fall back to the
-      // full-page batch kernel (cheaper than many strided scalar rows).
-      const auto& surv = scratch->survivors;
-      if (surv.size() * 4 <= n) {
-        for (const uint32_t i : surv) {
-          if (metric.Distance(center, scan.vec(i)) <= radius) {
-            out->push_back(scan.id(i));
-          }
-        }
-      } else {
-        if (scratch->dist.size() < n) scratch->dist.resize(n);
-        BatchPageDistances(metric, center, qp.get(), blk,
-                           scan.stride_floats(), n, radius,
-                           scratch->dist.data());
-        const double* dist = scratch->dist.data();
-        for (const uint32_t i : surv) {
-          if (dist[i] <= radius) out->push_back(scan.id(i));
-        }
-      }
-      return Status::OK();
-    }
-    if (blk != nullptr) {
-      // One virtual call per page; rows whose partial sum exceeds the
-      // radius are abandoned (their output is > radius, which is all the
-      // filter below looks at).
-      if (scratch->dist.size() < n) scratch->dist.resize(n);
-      BatchPageDistances(metric, center, qp.get(), blk, scan.stride_floats(),
-                         n, radius, scratch->dist.data());
-      const double* dist = scratch->dist.data();
-      for (size_t i = 0; i < n; ++i) {
-        if (dist[i] <= radius) out->push_back(scan.id(i));
-      }
-      return Status::OK();
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (metric.Distance(center, scan.vec(i)) <= radius) {
-        out->push_back(scan.id(i));
-      }
-    }
-    return Status::OK();
+  if (PeekNodeKind(h.data()) == NodeKind::kData) {
+    return ScanDataPage(page, nullptr, std::move(h), center, metric, radius,
+                        {}, scratch, /*cursor_path=*/false, report);
   }
   HT_ASSIGN_OR_RETURN(std::shared_ptr<const IndexNode> node,
                       ReadIndexNodeCached(page, h.data(), h.size()));
@@ -1207,12 +1238,17 @@ Status HybridTree::SearchRangeRec(PageId page, std::span<const float> center,
     stack.push_back(n->left.get());
   }
   if (options_.prefetch_depth > 0 && descents.size() - dbase > 1) {
+    // Data pages whose sidecar rules out every row will not be read, so
+    // they are not prefetched either.
     auto& ids = scratch->prefetch_ids;
     ids.clear();
     for (size_t i = dbase; i < descents.size(); ++i) {
-      ids.push_back(descents[i].page);
+      if (!SidecarRulesOut(descents[i].page, center, metric, radius,
+                           scratch)) {
+        ids.push_back(descents[i].page);
+      }
     }
-    pool_->Prefetch(ids);
+    if (ids.size() > 1) pool_->Prefetch(ids);
   }
   for (size_t i = dbase; i < descents.size(); ++i) {
     const Status st = SearchRangeRec(descents[i].page, center, radius, metric,
@@ -1287,7 +1323,6 @@ Status HybridTree::SearchKnnBoundedInto(
                                 : limits.max_leaf_visits;
   uint64_t leaf_visits = 0;
   bool early_terminated = false;
-  const bool use_batch = !options_.disable_batch_kernels;
 
   // Best-first branch-and-bound (Hjaltason–Samet): a min-heap of pending
   // subtrees ordered by MINDIST to their live region, and a bounded
@@ -1331,16 +1366,27 @@ Status HybridTree::SearchKnnBoundedInto(
     std::pop_heap(frontier.begin(), frontier.end(), frontier_gt);
     const SearchScratch::PageRef item = frontier.back();
     frontier.pop_back();
+    // The bound at page entry is the k-th distance before this page; it
+    // can only shrink while scanning, so a row the filter prunes or the
+    // kernel abandons against it could never have entered the heap (and
+    // while the heap is not full the bound is +max: nothing is filtered or
+    // abandoned). A pruned row's true distance is strictly above every
+    // bound the heap holds during this page, so its offer would have been
+    // a no-op — the replacement test is a strict `<`, and the id
+    // tie-break needs d == kth, excluded by strictness. Offering only the
+    // survivors (ascending) therefore replays the exact heap evolution.
+    const QuantizedPage* qp = UsableSidecar(item.page, metric);
+    auto& ids = scratch->prefetch_ids;
+    ids.clear();
     if (prefetch_depth > 0 && !pool_->Cached(item.page)) {
       // Frontier-driven prefetch: batch the popped page with the next-best
       // prefetch_depth frontier pages that survive the current prune bound
       // (they are the pages the traversal will pop next unless the bound
-      // tightens). Gated on the popped page missing the pool: while the
-      // traversal pops pages a previous batch brought in, no I/O is issued
-      // at all, so blocking round trips collapse to roughly
-      // pops / (depth + 1) instead of one per pop.
-      auto& ids = scratch->prefetch_ids;
-      ids.clear();
+      // tightens) and that their sidecars do not rule out. Gated on the
+      // popped page missing the pool: while the traversal pops pages a
+      // previous batch brought in, no I/O is issued at all, so blocking
+      // round trips collapse to roughly pops / (depth + 1) instead of one
+      // per pop. The batch is issued only if the popped page is read.
       ids.push_back(item.page);
       auto& top = scratch->prefetch_top;
       const size_t b = std::min(prefetch_depth, frontier.size());
@@ -1350,59 +1396,24 @@ Status HybridTree::SearchKnnBoundedInto(
                                top.end(), frontier_lt);
         const double bound = kth();
         for (const auto& r : top) {
-          if (r.dist * prune_factor <= bound) ids.push_back(r.page);
-        }
-      }
-      pool_->Prefetch(ids);
-    }
-    HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(item.page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
-      DataPageScan scan(h.data(), h.size(), options_.dim);
-      if (!scan.ok()) return Status::Corruption("expected data node page");
-      const size_t n = scan.count();
-      const float* blk = use_batch ? scan.block() : nullptr;
-      std::shared_ptr<const QuantizedPage> qp;
-      if (QuantFilter(item.page, blk, scan.stride_floats(), n, center, metric,
-                      kth(), scratch, &qp)) {
-        // A pruned row has lb > bound (the k-th distance at page entry),
-        // hence a true distance strictly above every bound the heap will
-        // hold during this page: its offer would have been a no-op — the
-        // replacement test is a strict `<`, and the id tie-break needs
-        // d == kth, excluded by strictness. Offering only the survivors
-        // (ascending) therefore replays the exact heap evolution. Sparse
-        // survivor sets refine row-by-row (Distance() accumulates exactly
-        // like an unabandoned kernel row); dense ones rerun the full-page
-        // kernel with the same entry bound the unfiltered scan would use.
-        const auto& surv = scratch->survivors;
-        if (surv.size() * 4 <= n) {
-          for (const uint32_t i : surv) {
-            offer(metric.Distance(center, scan.vec(i)), scan.id(i));
+          if (r.dist * prune_factor <= bound &&
+              !SidecarRulesOut(r.page, center, metric, bound, scratch)) {
+            ids.push_back(r.page);
           }
-        } else {
-          if (scratch->dist.size() < n) scratch->dist.resize(n);
-          BatchPageDistances(metric, center, qp.get(), blk,
-                             scan.stride_floats(), n, kth(),
-                             scratch->dist.data());
-          const double* dist = scratch->dist.data();
-          for (const uint32_t i : surv) offer(dist[i], scan.id(i));
-        }
-      } else if (blk != nullptr) {
-        // The bound at page entry is the k-th distance before this page;
-        // it can only shrink while scanning, so any row abandoned against
-        // it could never have entered the heap (and while the heap is not
-        // full the bound is +max, i.e. nothing is abandoned). The offers
-        // below therefore make exactly the scalar path's decisions.
-        if (scratch->dist.size() < n) scratch->dist.resize(n);
-        BatchPageDistances(metric, center, qp.get(), blk, scan.stride_floats(),
-                           n, kth(), scratch->dist.data());
-        const double* dist = scratch->dist.data();
-        for (size_t i = 0; i < n; ++i) offer(dist[i], scan.id(i));
-      } else {
-        for (size_t i = 0; i < n; ++i) {
-          offer(metric.Distance(center, scan.vec(i)), scan.id(i));
         }
       }
+    }
+    PageHandle h;
+    if (qp == nullptr) {
+      // Not known to be a data page: read it to find out.
+      if (!ids.empty()) pool_->Prefetch(ids);
+      ids.clear();
+      HT_ASSIGN_OR_RETURN(h, pool_->Fetch(item.page));
+    }
+    if (qp != nullptr || PeekNodeKind(h.data()) == NodeKind::kData) {
+      HT_RETURN_NOT_OK(ScanDataPage(item.page, qp, std::move(h), center,
+                                    metric, kth(), ids, scratch,
+                                    /*cursor_path=*/false, offer));
       ++leaf_visits;
       if (leaf_visits >= max_leaves) {
         // Budget exhausted: stop with the best candidates so far. It
@@ -1495,7 +1506,6 @@ Status HybridTree::Delete(std::span<const float> point, uint64_t id) {
       const PageId child = node.root->child;
       els_sidecar_.erase(root_);
       InvalidateCachedNode(root_);
-      quant_store_.Invalidate(root_);
       HT_RETURN_NOT_OK(pool_->Free(root_));
       root_ = child;
       --height_;
@@ -1556,7 +1566,7 @@ Result<HybridTree::DeleteOutcome> HybridTree::DeleteRec(
     if (child.eliminate_me) {
       els_sidecar_.erase(kid.leaf->child);
       InvalidateCachedNode(kid.leaf->child);
-      quant_store_.Invalidate(kid.leaf->child);
+      quant_store_.Put(kid.leaf->child, nullptr);
       HT_RETURN_NOT_OK(pool_->Free(kid.leaf->child));
       if (kid.leaf == node.root.get()) {
         // Last child gone: eliminate this node too (parent frees the page).
@@ -1564,8 +1574,10 @@ Result<HybridTree::DeleteOutcome> HybridTree::DeleteRec(
         return out;
       }
       HT_CHECK(RemoveKdLeaf(node, br, kid.leaf));
+      HT_RETURN_NOT_OK(WriteIndexNode(page, node));
     }
-    HT_RETURN_NOT_OK(WriteIndexNode(page, node));
+    // A delete that eliminates no child leaves this node as it was: ELS
+    // codes never shrink on delete (RebuildEls re-tightens them).
     return out;
   }
   return out;
@@ -1606,19 +1618,53 @@ Status HybridTree::RebuildEls() {
   ExclusiveRole role(&rw_contract_);
   AccessClassScope ac(AccessClass::kScan);
   if (!els_enabled()) return Status::OK();
-  HT_ASSIGN_OR_RETURN(Box live,
-                      RebuildElsRec(root_, Box::UnitCube(options_.dim)));
-  (void)live;
+  HT_RETURN_NOT_OK(RebuildDirectoryRec(root_, height_, /*els=*/true).status());
   DebugValidate();
   return Status::OK();
 }
 
-Result<Box> HybridTree::RebuildElsRec(PageId page, const Box& br) {
-  HT_ASSIGN_OR_RETURN(NodeKind kind, PeekKind(page));
-  if (kind == NodeKind::kData) {
-    HT_ASSIGN_OR_RETURN(DataNode node, ReadDataNode(page));
-    return node.ComputeLiveBr(options_.dim);
+Status HybridTree::LoadDirectory() {
+  // Neither the sidecars nor in-memory ELS codes are persisted.
+  const bool els = els_enabled() && !els_in_page();
+  if (!els && !options_.quant_sidecars) return Status::OK();
+  AccessClassScope ac(AccessClass::kScan);
+  return RebuildDirectoryRec(root_, height_, els).status();
+}
+
+Result<Box> HybridTree::RebuildDirectoryRec(PageId page, uint32_t level,
+                                            bool els) {
+  HT_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(page));
+  const NodeKind kind = PeekNodeKind(h.data());
+  if (kind == NodeKind::kMeta) {
+    return Status::Corruption("page " + std::to_string(page) +
+                              ": meta page inside the tree");
   }
+  if ((kind == NodeKind::kData) != (level == 0)) {
+    return Status::Corruption("page " + std::to_string(page) +
+                              ": node kind does not match level " +
+                              std::to_string(level));
+  }
+  if (kind == NodeKind::kData) {
+    const uint32_t dim = options_.dim;
+    DataPageScan scan(h.data(), h.size(), dim);
+    if (!scan.ok()) return Status::Corruption("expected data node page");
+    std::unique_ptr<const QuantizedPage> qp;
+    if (options_.quant_sidecars) {
+      qp = BuildDataPageSidecar(h.data(), h.size(), dim);
+    }
+    Box live = Box::Empty(dim);
+    if (qp != nullptr) {
+      // The sidecar's grid is the page's exact live box.
+      live = Box::FromBounds(qp->grid_lo(), qp->grid_hi());
+    } else {
+      for (size_t i = 0; i < scan.count(); ++i) {
+        live.ExtendToInclude(scan.vec(i));
+      }
+    }
+    quant_store_.Put(page, std::move(qp));
+    return live;
+  }
+  h.Release();
   HT_ASSIGN_OR_RETURN(IndexNode node, ReadIndexNode(page));
   Box node_live = Box::Empty(options_.dim);
   // Read-ahead for the Open()-path DFS: every child will be visited, so
@@ -1636,21 +1682,40 @@ Result<Box> HybridTree::RebuildElsRec(PageId page, const Box& br) {
     collect(node.root.get());
     if (children.size() > 1) pool_->Prefetch(children);
   }
-  HT_RETURN_NOT_OK(RebuildElsKd(node.root.get(), br, &node_live));
-  HT_RETURN_NOT_OK(WriteIndexNode(page, node));
+  bool changed = false;
+  HT_RETURN_NOT_OK(RebuildDirectoryKd(node.root.get(),
+                                      Box::UnitCube(options_.dim), level, els,
+                                      &node_live, &changed));
+  // Only codes can have changed. In memory they are recorded without
+  // touching the page; in the page they need a rewrite.
+  if (changed && els_in_page()) {
+    HT_RETURN_NOT_OK(WriteIndexNode(page, node));
+  } else if (changed) {
+    StoreElsCodes(page, node);
+  }
   return node_live;
 }
 
-Status HybridTree::RebuildElsKd(KdNode* n, const Box& nbr, Box* node_live) {
+Status HybridTree::RebuildDirectoryKd(KdNode* n, const Box& nbr,
+                                      uint32_t level, bool els,
+                                      Box* node_live, bool* changed) {
   if (n->IsLeaf()) {
     HT_ASSIGN_OR_RETURN(Box child_live,
-                        RebuildElsRec(n->child, Box::UnitCube(options_.dim)));
-    n->els = codec_.Encode(child_live, nbr);
+                        RebuildDirectoryRec(n->child, level - 1, els));
+    if (els) {
+      ElsCode code = codec_.Encode(child_live, nbr);
+      if (code != n->els) {
+        n->els = std::move(code);
+        *changed = true;
+      }
+    }
     node_live->ExtendToInclude(child_live);
     return Status::OK();
   }
-  HT_RETURN_NOT_OK(RebuildElsKd(n->left.get(), KdLeftBr(nbr, *n), node_live));
-  return RebuildElsKd(n->right.get(), KdRightBr(nbr, *n), node_live);
+  HT_RETURN_NOT_OK(RebuildDirectoryKd(n->left.get(), KdLeftBr(nbr, *n), level,
+                                      els, node_live, changed));
+  return RebuildDirectoryKd(n->right.get(), KdRightBr(nbr, *n), level, els,
+                            node_live, changed);
 }
 
 Result<TreeStats> HybridTree::ComputeStats() {
@@ -1760,26 +1825,18 @@ void HybridTree::DebugValidate() {
 #endif
 }
 
-Status HybridTree::CollectSubtreeEntries(PageId page,
-                                         std::vector<DataEntry>* out,
-                                         std::vector<PageId>* pages) {
-  pages->push_back(page);
-  HT_ASSIGN_OR_RETURN(NodeKind kind, PeekKind(page));
-  if (kind == NodeKind::kData) {
-    HT_ASSIGN_OR_RETURN(DataNode node, ReadDataNode(page));
-    for (auto& e : node.entries) out->push_back(std::move(e));
-    return Status::OK();
-  }
-  HT_ASSIGN_OR_RETURN(IndexNode node, ReadIndexNode(page));
-  std::vector<ChildRef> kids;
-  kids.reserve(node.NumChildren());
-  node.CollectChildren(Box::UnitCube(options_.dim), &kids);
-  for (const auto& kid : kids) {
-    HT_RETURN_NOT_OK(CollectSubtreeEntries(kid.leaf->child, out, pages));
-  }
+Status HybridTree::DebugValidateDirectory() {
+#ifdef HT_DEBUG_VALIDATE
+  ValidateOptions opts;
+  opts.structure = false;
+  opts.els = false;
+  opts.occupancy = false;
+  TreeValidator validator(this, opts);
+  return validator.Validate();
+#else
   return Status::OK();
+#endif
 }
-
 
 HybridTree::KnnCursor::KnnCursor(const HybridTree* tree,
                                  std::span<const float> center,
@@ -1847,70 +1904,6 @@ HybridTree::KnnCursor HybridTree::OpenKnnCursor(
   return KnnCursor(this, center, &metric, opts);
 }
 
-Status HybridTree::ScanDataPageForCursor(KnnCursor* cursor, PageId page,
-                                         const uint8_t* data,
-                                         size_t size) const {
-  DataPageScan scan(data, size, options_.dim);
-  if (!scan.ok()) return Status::Corruption("expected data node page");
-  const size_t n = scan.count();
-  const float* blk = options_.disable_batch_kernels ? nullptr : scan.block();
-  const DistanceMetric& metric = *cursor->metric_;
-  const std::span<const float> center(cursor->center_);
-  // The running bound at page entry: the cursor's own k-th distance,
-  // tightened by the shared cross-shard radius. An entry strictly beyond
-  // it can never be used by a consumer honoring the declared limit (there
-  // are already `limit` entries at or under the bound, all emitted first),
-  // so it is pruned; ties at the bound are kept so downstream id
-  // tie-breaking sees every boundary candidate. With no declared bound
-  // this is +inf: every entry is enqueued with its exact distance — the
-  // legacy cursor scan, bit for bit.
-  const double bound = cursor->ScanBound();
-  SearchScratch* scratch = &cursor->scratch_;
-  const auto push_entry = [&](double d, uint64_t id) {
-    if (d <= bound) {
-      cursor->RecordEntry(d);
-      cursor->queue_.push(KnnCursor::Item{d, true, id, kInvalidPageId});
-    }
-  };
-  std::shared_ptr<const QuantizedPage> qp;
-  if (QuantFilter(page, blk, scan.stride_floats(), n, center, metric, bound,
-                  scratch, &qp, /*cursor_path=*/true)) {
-    // A pruned row has lb > bound, hence a true distance strictly above
-    // the bound: push_entry would have dropped it anyway. Refinement
-    // mirrors the batch k-NN path: sparse survivor sets row-by-row, dense
-    // ones through the full-page kernel with the same entry bound.
-    const auto& surv = scratch->survivors;
-    if (surv.size() * 4 <= n) {
-      for (const uint32_t i : surv) {
-        push_entry(metric.Distance(center, scan.vec(i)), scan.id(i));
-      }
-    } else {
-      if (scratch->dist.size() < n) scratch->dist.resize(n);
-      BatchPageDistances(metric, center, qp.get(), blk, scan.stride_floats(),
-                         n, bound, scratch->dist.data());
-      const double* dist = scratch->dist.data();
-      for (const uint32_t i : surv) push_entry(dist[i], scan.id(i));
-    }
-    return Status::OK();
-  }
-  if (blk != nullptr) {
-    // Unfiltered batch scan. With an infinite bound the kernels never
-    // abandon a row, so the distances match the unbounded batch kernel
-    // bit for bit; with a finite bound an abandoned row's +inf output and
-    // its exact distance make the same push_entry decision.
-    if (scratch->dist.size() < n) scratch->dist.resize(n);
-    BatchPageDistances(metric, center, qp.get(), blk, scan.stride_floats(), n,
-                       bound, scratch->dist.data());
-    const double* dist = scratch->dist.data();
-    for (size_t i = 0; i < n; ++i) push_entry(dist[i], scan.id(i));
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      push_entry(metric.Distance(center, scan.vec(i)), scan.id(i));
-    }
-  }
-  return Status::OK();
-}
-
 Result<std::optional<std::pair<double, uint64_t>>>
 HybridTree::KnnCursor::Next() {
   // The cursor is a read-path client: each pull runs under the tree's
@@ -1948,12 +1941,31 @@ HybridTree::KnnCursor::Next() {
       continue;
     }
     queue_.pop();
-    HT_ASSIGN_OR_RETURN(PageHandle h, tree_->pool_->Fetch(item.page));
-    const NodeKind kind = PeekNodeKind(h.data());
-    if (kind == NodeKind::kData) {
+    const QuantizedPage* qp = tree_->UsableSidecar(item.page, *metric_);
+    PageHandle h;
+    if (qp == nullptr) {
+      HT_ASSIGN_OR_RETURN(h, tree_->pool_->Fetch(item.page));
+    }
+    if (qp != nullptr || PeekNodeKind(h.data()) == NodeKind::kData) {
       ++leaf_visits_;
-      HT_RETURN_NOT_OK(
-          tree_->ScanDataPageForCursor(this, item.page, h.data(), h.size()));
+      // The running bound at page entry: the cursor's own k-th distance,
+      // tightened by the shared cross-shard radius. An entry strictly
+      // beyond it can never be used by a consumer honoring the declared
+      // limit (there are already `limit` entries at or under the bound,
+      // all emitted first), so it is pruned; ties at the bound are kept so
+      // downstream id tie-breaking sees every boundary candidate. With no
+      // declared bound this is +inf: every entry is enqueued with its
+      // exact distance — the legacy cursor scan, bit for bit.
+      const double bound = ScanBound();
+      const auto enqueue = [&](double d, uint64_t id) {
+        if (d <= bound) {
+          RecordEntry(d);
+          queue_.push(Item{d, true, id, kInvalidPageId});
+        }
+      };
+      HT_RETURN_NOT_OK(tree_->ScanDataPage(item.page, qp, std::move(h), center_,
+                                           *metric_, bound, {}, &scratch_,
+                                           /*cursor_path=*/true, enqueue));
       continue;
     }
     HT_ASSIGN_OR_RETURN(

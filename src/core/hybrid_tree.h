@@ -141,9 +141,10 @@ class HybridTree {
   /// Opens a tree previously persisted via Flush(). Options are read back
   /// from the metadata page; `buffer_pool_pages` overrides the pool
   /// capacity (0 = unbounded, the persisted default — runtime knobs are
-  /// not stored in the metadata page). With ElsMode::kInMemory the ELS
-  /// sidecar is rebuilt by one DFS over the tree (codes are exact after
-  /// the rebuild).
+  /// not stored in the metadata page, so the others take their defaults).
+  /// One DFS over the tree rebuilds the in-memory directory, which is not
+  /// persisted: every data page's quantized sidecar and, with
+  /// ElsMode::kInMemory, exact ELS codes. It writes no page.
   static Result<std::unique_ptr<HybridTree>> Open(
       PagedFile* file, size_t buffer_pool_pages = 0);
 
@@ -347,8 +348,13 @@ class HybridTree {
   /// Maximum entries per data node at the current configuration.
   size_t data_node_capacity() const { return data_capacity_; }
 
-  /// Number of data pages with a cached quantized sidecar (test support).
-  size_t CachedQuantPages() const { return quant_store_.CachedPages(); }
+  /// Number of data pages with a quantized sidecar (test support): every
+  /// non-empty data page while HybridTreeOptions::quant_sidecars is on,
+  /// none otherwise.
+  size_t CachedQuantPages() const {
+    SharedRole role(&rw_contract_);
+    return quant_store_.size();
+  }
 
   /// Structural statistics (Table 1 analogue). Traverses the whole tree.
   Result<TreeStats> ComputeStats();
@@ -361,9 +367,10 @@ class HybridTree {
   /// boxes (test/diagnostic support).
   void DumpTree();
 
-  /// Recomputes every ELS code exactly from the data below it (one DFS).
-  /// Called by Open() in kInMemory mode; also usable to re-tighten codes
-  /// grown stale by deletions.
+  /// Recomputes every ELS code exactly from the data below it (one DFS),
+  /// re-tightening codes grown stale by deletions. Only index pages whose
+  /// codes changed are updated, and with ElsMode::kInMemory no page is
+  /// written at all.
   Status RebuildEls();
 
  private:
@@ -392,7 +399,13 @@ class HybridTree {
   // internally (SharedRole/ExclusiveRole guards), so the contract is not
   // viral to callers; the Role itself compiles to nothing.
   Result<DataNode> ReadDataNode(PageId id) HT_REQUIRES(rw_contract_);
+  /// Every data-page write goes through WriteDataNode: it rebuilds the
+  /// page's quantized sidecar from the new image (drops it when the page
+  /// is empty), which keeps the sidecar store complete and current.
   Status WriteDataNode(PageId id, const DataNode& node)
+      HT_REQUIRES(rw_contract_);
+  /// The same, for a page the caller already holds (e.g. fresh from New).
+  void WriteDataNode(PageHandle& h, const DataNode& node)
       HT_REQUIRES(rw_contract_);
   Result<IndexNode> ReadIndexNode(PageId id) HT_REQUIRES(rw_contract_);
   /// Read-path variant: returns the parsed node from the in-memory cache
@@ -407,6 +420,12 @@ class HybridTree {
   /// or freeing the page).
   void InvalidateCachedNode(PageId id) HT_REQUIRES(rw_contract_);
   Status WriteIndexNode(PageId id, IndexNode& node) HT_REQUIRES(rw_contract_);
+  /// Records `node`'s ELS codes without touching its page: fills missing
+  /// codes, updates the in-memory ELS sidecar (ElsMode::kInMemory) and
+  /// drops the page's stale parsed-node cache entry. WriteIndexNode runs
+  /// it too; alone it is the whole update when only codes changed and the
+  /// codes do not live in the page.
+  void StoreElsCodes(PageId id, IndexNode& node) HT_REQUIRES(rw_contract_);
   Result<NodeKind> PeekKind(PageId id) HT_REQUIRES(rw_contract_);
   Status WriteMeta() HT_REQUIRES(rw_contract_);
 
@@ -496,44 +515,69 @@ class HybridTree {
       PageId page,
       const std::function<void(uint64_t, std::span<const float>)>& fn) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// Quantized filter-then-refine for one data-page scan: computes sound
-  /// code lower bounds for all `n` rows of `blk` and collects the rows
-  /// with lb <= bound (ascending) into scratch->survivors. Returns false —
-  /// and counts an unfiltered scan — when filtering is off, unavailable
-  /// for this metric, or pointless (bound is +inf / no rows). On true, the
-  /// caller must compute exact distances for the survivor rows only; the
-  /// bound soundness guarantees the visible results are byte-identical.
-  /// Whenever sidecars are enabled — and the metric can actually use them
-  /// (DistanceMetric::SupportsCodeFilter; building one for a metric with
-  /// no code-space bound would only cache useless pages) — `*qp_out`
-  /// receives this page's sidecar (even when the return is false) so the
-  /// caller can route exact distances through its transposed float mirror.
-  /// `cursor_path` routes the scan accounting to the cursor_* IoStats
-  /// duals instead of the batch counters.
-  bool QuantFilter(PageId page, const float* blk, size_t stride, size_t n,
-                   std::span<const float> center, const DistanceMetric& metric,
-                   double bound, SearchScratch* scratch,
-                   std::shared_ptr<const QuantizedPage>* qp_out,
-                   bool cursor_path = false) const
+  /// The sidecar a range / k-NN / cursor scan of `page` may use with
+  /// `metric`, or nullptr: when `page` has none (an index page or an empty
+  /// data page), or when sidecars cannot help — the option is off, batch
+  /// kernels are disabled, the metric has no code-space bound
+  /// (DistanceMetric::SupportsCodeFilter), or distance dispatch runs at
+  /// the scalar tier. A hit also tells the caller that `page` is a data
+  /// page, without reading it.
+  const QuantizedPage* UsableSidecar(PageId page,
+                                     const DistanceMetric& metric) const
       HT_REQUIRES_SHARED(rw_contract_);
-  /// One cursor data-page scan: applies QuantFilter under the cursor's
-  /// current scan bound, refines survivors exactly (sparse per-row or
-  /// dense batch, like the batch k-NN path), and enqueues every entry
-  /// whose distance does not exceed the bound. With an infinite bound this
-  /// enqueues all rows with exact distances — the legacy cursor scan.
-  /// A member (not cursor code) so it can reach SearchScratch internals.
-  Status ScanDataPageForCursor(KnnCursor* cursor, PageId page,
-                               const uint8_t* data, size_t size) const
+  /// Runs the fused code filter of `qp` under `bound` into scratch->masks
+  /// (one survivor bit per row) and returns the number of mask bytes. 0
+  /// when no finite bound exists yet (nothing could be pruned) or the
+  /// metric has no mask kernel.
+  static size_t CodeMasks(const QuantizedPage& qp,
+                          std::span<const float> center,
+                          const DistanceMetric& metric, double bound,
+                          SearchScratch* scratch);
+  /// True when `page`'s sidecar proves that no row lies within `bound`,
+  /// so a scan would not read it. Counts nothing (prefetch gating).
+  bool SidecarRulesOut(PageId page, std::span<const float> center,
+                       const DistanceMetric& metric, double bound,
+                       SearchScratch* scratch) const
       HT_REQUIRES_SHARED(rw_contract_);
+  /// The one data-page scan of range, batch k-NN and cursor search. With a
+  /// usable sidecar `qp` and a finite `bound`, the code filter runs first,
+  /// from memory; if it rules out every row, the page is never fetched.
+  /// Otherwise the page is fetched (unless `h` already pins it; `readahead`,
+  /// when non-empty, is prefetched as one batch just before that fetch)
+  /// and `visit(distance, id)` is called, in ascending row order, for
+  /// every row the filter kept (all rows when it did not run). A visited
+  /// distance is exact, or — for a row the batch kernel abandoned against
+  /// `bound` — some value above `bound`. Rows the filter pruned lie
+  /// strictly beyond `bound`, so a visitor that ignores distances above
+  /// `bound` sees the unfiltered scan's decisions exactly. `cursor_path`
+  /// charges the scan to the cursor_* IoStats duals.
+  template <typename Visit>
+  Status ScanDataPage(PageId page, const QuantizedPage* qp, PageHandle h,
+                      std::span<const float> center,
+                      const DistanceMetric& metric, double bound,
+                      std::span<const PageId> readahead,
+                      SearchScratch* scratch, bool cursor_path,
+                      Visit&& visit) const HT_REQUIRES_SHARED(rw_contract_);
 
   // --- maintenance --------------------------------------------------------
-  /// DFS recomputing ELS codes; returns this subtree's exact live box.
-  Result<Box> RebuildElsRec(PageId page, const Box& br)
+  /// Builds the in-memory directory of a freshly opened tree in one DFS:
+  /// every data page's quantized sidecar, and exact ELS codes when they
+  /// are kept in memory (ElsMode::kInMemory). Writes no page.
+  Status LoadDirectory() HT_REQUIRES(rw_contract_);
+  /// DFS behind LoadDirectory and RebuildEls: builds each data page's
+  /// sidecar (when sidecars are on) and, with `els`, re-encodes every
+  /// ELS code exactly, storing a node's codes only where they changed.
+  /// Returns this subtree's exact live box. `level` is the page's expected
+  /// level; a page of the wrong kind is reported as corruption, which also
+  /// bounds the recursion on a corrupted (cyclic) file.
+  Result<Box> RebuildDirectoryRec(PageId page, uint32_t level, bool els)
       HT_REQUIRES(rw_contract_);
-  /// Kd-walk half of RebuildElsRec: recurses into child subtrees and
-  /// re-encodes leaf ELS codes in place (member, not a lambda, so the
+  /// Kd-walk half of RebuildDirectoryRec: recurses into child subtrees
+  /// (at `level` - 1) and, with `els`, re-encodes leaf codes in place,
+  /// setting `*changed` when one moved (member, not a lambda, so the
   /// analysis sees the exclusive-role requirement).
-  Status RebuildElsKd(KdNode* n, const Box& nbr, Box* node_live)
+  Status RebuildDirectoryKd(KdNode* n, const Box& nbr, uint32_t level,
+                            bool els, Box* node_live, bool* changed)
       HT_REQUIRES(rw_contract_);
   Status ComputeStatsRec(PageId page, const Box& br, TreeStats* stats,
                          double* data_util_sum) HT_REQUIRES(rw_contract_);
@@ -541,9 +585,6 @@ class HybridTree {
   /// analysis sees the exclusive-role requirement).
   Status ComputeStatsKd(const KdNode* n, const Box& nbr, TreeStats* stats,
                         double* data_util_sum) HT_REQUIRES(rw_contract_);
-  Status CollectSubtreeEntries(PageId page, std::vector<DataEntry>* out,
-                               std::vector<PageId>* pages)
-      HT_REQUIRES(rw_contract_);
   /// Recursive body of DumpTree (member for the same reason as ScanAllRec).
   void DumpTreeRec(PageId page, const Box& br, int depth)
       HT_REQUIRES(rw_contract_);
@@ -551,6 +592,13 @@ class HybridTree {
   /// a full TreeValidator pass (including buffer-pool pin accounting) and
   /// aborts on any violation. Called after every mutating operation.
   void DebugValidate();
+  /// Open()'s variant of DebugValidate: checks only the in-memory
+  /// directory Open just built (sidecar completeness and contents) and
+  /// pins, and returns the failure instead of aborting — a page no
+  /// sidecar can match (e.g. a NaN coordinate) is damage in the input
+  /// file. The file's structure is likewise input, not Open's output: a
+  /// damaged file is the caller's to detect with CheckInvariants().
+  Status DebugValidateDirectory();
 
   HybridTreeOptions options_;
   PagedFile* file_;
@@ -569,9 +617,11 @@ class HybridTree {
   std::unordered_map<PageId, std::vector<uint8_t>> els_sidecar_;
 
   /// Quantized data-page sidecars for the filter-then-refine scan path
-  /// (storage/quant_store.h). Built lazily by const searches, hence
-  /// mutable; invalidated wherever a data page is rewritten or freed.
-  mutable QuantStore quant_store_;
+  /// (storage/quant_store.h): one per non-empty data page, rebuilt by
+  /// every data-page write and dropped when a page is freed. Mutated only
+  /// under the exclusive role; searches read it, lock-free, under the
+  /// shared role.
+  QuantStore quant_store_ HT_GUARDED_BY(rw_contract_);
 
   /// Insert-path scratch: candidate leaves collected by FindLeafForInsert,
   /// reused across calls (cleared, capacity retained) instead of being

@@ -6,6 +6,7 @@
 
 #include "common/codec.h"
 #include "common/macros.h"
+#include "storage/quant_store.h"
 
 namespace ht {
 
@@ -73,6 +74,17 @@ DataPageScan::DataPageScan(const uint8_t* page, size_t page_size,
   if constexpr (std::endian::native != std::endian::little) {
     scratch_.resize(dim);
   }
+}
+
+std::unique_ptr<const QuantizedPage> BuildDataPageSidecar(const uint8_t* page,
+                                                          size_t page_size,
+                                                          uint32_t dim) {
+  DataPageScan scan(page, page_size, dim);
+  if (!scan.ok() || scan.count() == 0 || scan.block() == nullptr) {
+    return nullptr;
+  }
+  return std::make_unique<const QuantizedPage>(
+      scan.block(), scan.stride_floats(), scan.count(), dim);
 }
 
 uint64_t DataPageScan::id(size_t i) const {

@@ -26,6 +26,8 @@
 
 namespace ht {
 
+class QuantizedPage;
+
 // ---------------------------------------------------------------------------
 // Data nodes
 // ---------------------------------------------------------------------------
@@ -91,6 +93,14 @@ class DataPageScan {
   bool ok_ = false;
   mutable std::vector<float> scratch_;  // big-endian fallback only
 };
+
+/// Builds the 8-bit quantized sidecar (storage/quant_store.h) of a
+/// serialized data page from the page image itself, so it matches what any
+/// scan of that image sees. Returns nullptr for a page with no rows, a page
+/// that is not a data page, or a host without the in-place float block.
+std::unique_ptr<const QuantizedPage> BuildDataPageSidecar(const uint8_t* page,
+                                                          size_t page_size,
+                                                          uint32_t dim);
 
 // ---------------------------------------------------------------------------
 // Index nodes

@@ -99,10 +99,12 @@ struct HybridTreeOptions {
   /// each point's distance is computed from cached uint8 codes and only
   /// the survivors get an exact distance. Results are byte-identical
   /// either way — the lower bound never prunes a true hit, and refinement
-  /// replays the exact kernel arithmetic. Sidecars are built lazily on
-  /// first scan and invalidated on page writes; turning this off only
-  /// stops filtering (cached sidecars are kept). Runtime-only: not
-  /// persisted by Flush()/Open().
+  /// replays the exact kernel arithmetic. The sidecars live in memory and
+  /// are kept current eagerly (bulk load, Open and every data-page write
+  /// build them), so a scan can skip reading a data page whose sidecar
+  /// rules out every row. Off: no sidecar is built and every visited page
+  /// is read. Runtime-only: not persisted by Flush(); Open() uses the
+  /// default.
   bool quant_sidecars = true;
 
   /// Frontier-driven prefetch depth for the cold-cache I/O pipeline: on

@@ -65,7 +65,6 @@ class SearchScratch {
   std::vector<Descent> descents;  // collect-then-descend (base-marked)
   std::vector<PageId> prefetch_ids;   // batch under construction
   std::vector<PageRef> prefetch_top;  // k-NN next-best frontier sample
-  std::vector<double> lb;             // quantized-code lower bounds
   std::vector<uint8_t> masks;         // fused-filter survivor bits
   std::vector<uint32_t> survivors;    // rows passing the code filter
   quant::FilterScratch quant;         // per-(query,page) filter prep

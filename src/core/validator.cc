@@ -47,13 +47,13 @@ Status TreeValidator::Validate() {
         ", traversal found " + std::to_string(root.entries));
   }
   if (opts_.quant) {
-    // Per-page content matching happened during the walk; what remains is
-    // the reverse direction — a sidecar cached for a page that is no
-    // longer a data page of this tree is stale (a missed invalidation).
+    // Per-page completeness and content matching happened during the walk;
+    // what remains is the reverse direction — a sidecar held for an index
+    // page or a freed page is left over from a missed drop.
     for (PageId id : tree_->quant_store_.Snapshot()) {
       if (!data_pages_.contains(id)) {
         return Status::Corruption("page " + std::to_string(id) +
-                                  ": quantized sidecar cached for a page "
+                                  ": quantized sidecar held for a page "
                                   "that is not a live data page");
       }
     }
@@ -138,23 +138,33 @@ Status TreeValidator::ValidateDataNode(PageId page, const Box& kd_br,
   out->entries = node.entries.size();
   data_pages_.insert(page);
   if (opts_.quant) {
-    if (auto qp = tree_->quant_store_.Lookup(page)) {
-      // A cached sidecar must be exactly what rebuilding from the current
-      // page image would produce — grid, codes, and padding bytes. A
-      // mismatch means a write path skipped invalidation, which would
-      // silently break the filter's soundness on the next scan.
-      HT_ASSIGN_OR_RETURN(PageHandle h, tree_->pool_->Fetch(page));
-      DataPageScan scan(h.data(), h.size(), dim);
-      if (!scan.ok()) {
-        return Status::Corruption(PageTag(page) +
-                                  ": unscannable data page with a sidecar");
-      }
-      if (!qp->Matches(scan.block(), scan.stride_floats(), scan.count(),
-                       dim)) {
-        return Status::Corruption(
-            PageTag(page) +
-            ": quantized sidecar does not match page contents (stale)");
-      }
+    // With sidecars on, every non-empty data page must have one, and it
+    // must be exactly what building from the current page image produces
+    // — grid, codes, and padding bytes. A missing sidecar would make a
+    // query's page reads depend on history; a stale one would silently
+    // break the filter's soundness (scans skip pages on its word alone).
+    const QuantizedPage* qp = tree_->quant_store_.Lookup(page);
+    HT_ASSIGN_OR_RETURN(PageHandle h, tree_->pool_->Fetch(page));
+    DataPageScan scan(h.data(), h.size(), dim);
+    if (!scan.ok()) {
+      return Status::Corruption(PageTag(page) + ": unscannable data page");
+    }
+    const bool expected = tree_->options_.quant_sidecars &&
+                          scan.count() > 0 && scan.block() != nullptr;
+    if (expected && qp == nullptr) {
+      return Status::Corruption(PageTag(page) +
+                                ": data page without a quantized sidecar");
+    }
+    if (!expected && qp != nullptr) {
+      return Status::Corruption(
+          PageTag(page) + ": quantized sidecar held for a page that must "
+                          "not have one (empty page or sidecars off)");
+    }
+    if (qp != nullptr && !qp->Matches(scan.block(), scan.stride_floats(),
+                                      scan.count(), dim)) {
+      return Status::Corruption(
+          PageTag(page) +
+          ": quantized sidecar does not match page contents (stale)");
     }
   }
   return Status::OK();

@@ -21,15 +21,18 @@
 //   * Occupancy: data nodes respect capacity and (non-root) the
 //     utilization floor; entry vectors have the right dimensionality and
 //     finite coordinates; the traversal's entry count matches size().
+//   * Sidecars: with quantized sidecars on, every non-empty data page has
+//     one and it matches a fresh encode of the page; no index page, empty
+//     page or freed page has one.
 //   * Pins: with ValidateOptions::pins set, the buffer pool must report
 //     zero pinned frames both before and after the walk
 //     (BufferPool::AssertNoPins), attributing any leak to the Fetch call
 //     site when pin tracking is on.
 //
 // Under -DHT_DEBUG_VALIDATE=ON builds, HybridTree runs a full pass after
-// every mutating operation (Insert / Delete / RebuildEls / Flush), so
-// property and soak tests validate continuously instead of only at the
-// end.
+// every mutating operation (Insert / InsertBatch / Delete / RebuildEls /
+// Flush) and after BulkLoad and Open, so property and soak tests validate
+// continuously instead of only at the end.
 
 #pragma once
 
@@ -50,8 +53,8 @@ struct ValidateOptions {
   bool els = true;        ///< code sizes, decoded ⊇ exact live, round-trip
   bool occupancy = true;  ///< capacity, utilization floor, entry counts
   bool pins = true;       ///< buffer pool reports no pinned frames
-  bool quant = true;      ///< quantized sidecars match page contents, no
-                          ///< sidecar outlives its data page
+  bool quant = true;      ///< every non-empty data page has a sidecar that
+                          ///< matches its contents; no other page has one
 };
 
 /// One-shot deep validation pass over a HybridTree. Stateless between
@@ -94,7 +97,7 @@ class TreeValidator {
   HybridTree* tree_;
   ValidateOptions opts_;
   std::unordered_set<PageId> visited_;
-  /// Data pages seen by the current walk (quant check: every cached
+  /// Data pages seen by the current walk (quant check: every held
   /// sidecar must belong to one of these).
   std::unordered_set<PageId> data_pages_;
 };

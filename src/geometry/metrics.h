@@ -134,8 +134,9 @@ class DistanceMetric {
   /// code bound does not exceed `bound` (modulo the hair of upward slack in
   /// quant::FilterThreshold — extra survivors are sound, they just get
   /// refined exactly); a clear bit proves the row's true distance exceeds
-  /// `bound`. Returns false when the metric has no mask kernel (caller
-  /// falls back to CodeLowerBounds). Masks ARE bitwise identical across
+  /// `bound`. Returns false when the metric has no mask kernel (the caller
+  /// then scans the full floats). Every metric that answers
+  /// SupportsCodeFilter() implements it. Masks ARE bitwise identical across
   /// SIMD dispatch tiers (see kernels.h CodeMaskTFn).
   virtual bool CodeFilterMasks(std::span<const float> q,
                                const quant::PageCodesView& page, double bound,
@@ -152,9 +153,9 @@ class DistanceMetric {
   /// True when the metric implements the code-space machinery
   /// (CodeLowerBounds / CodeFilterMasks and the transposed mirror kernel).
   /// The default matches the base-class fallbacks above: no code-space
-  /// bound exists, so QuantFilter must not even BUILD the 8-bit sidecar —
-  /// it would only cache pages the metric can never filter with. The
-  /// kernel-backed metrics override this to true.
+  /// bound exists, so a page scan under this metric never consults the
+  /// 8-bit sidecars and reads every page it visits. The kernel-backed
+  /// metrics override this to true.
   virtual bool SupportsCodeFilter() const { return false; }
 
   virtual std::string Name() const = 0;

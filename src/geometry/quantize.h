@@ -187,16 +187,29 @@ inline void PrepareWeights(const double* w, uint32_t dim, FilterScratch* s) {
   for (size_t d = dim; d < padded; ++d) s->wf[d] = 0.0f;
 }
 
-/// Encodes one vector against the page grid: one byte per dimension, the
-/// containing cell (QuantizeLo). The filter pads the cell interval on both
-/// sides, so floor is the right rounding for both boundaries here.
-inline void EncodeSidecarRow(const float* v, const float* grid_lo,
-                             const float* grid_hi, uint32_t dim,
-                             uint8_t* out) {
-  for (uint32_t d = 0; d < dim; ++d) {
-    out[d] = static_cast<uint8_t>(
-        QuantizeLo(v[d], grid_lo[d], grid_hi[d], kSidecarBits));
-  }
+/// Reciprocal cell width of one page-grid dimension for EncodeSidecarCell:
+/// kSidecarCells / (hi - lo), or 0 on a degenerate dimension (hi <= lo),
+/// whose codes are then all 0.
+inline double SidecarScale(float lo, float hi) {
+  const double w = static_cast<double>(hi) - lo;
+  return w > 0.0 ? kSidecarCells / w : 0.0;
+}
+
+/// One sidecar code: the grid cell containing `v` (QuantizeLo with 8
+/// bits), computed as trunc((v - lo) * scale) with scale = SidecarScale.
+/// Multiplying by the precomputed reciprocal instead of dividing moves the
+/// cell index by a few ulps at most — far inside kCellPad, so the filter
+/// stays sound — and truncation equals floor on the page's own grid, where
+/// v >= lo. A page thus encodes with no division and no floor call per
+/// value. The filter pads the cell interval on both sides, so the
+/// containing cell is the right rounding for both boundaries.
+inline uint8_t EncodeSidecarCell(float v, float lo, double scale) {
+  const double x = (static_cast<double>(v) - lo) * scale;
+  // Compare before converting, so a NaN (only a damaged page can hold one)
+  // never reaches the float-to-integer conversion.
+  if (!(x > 0.0)) return 0;
+  if (x >= 255.0) return 255;
+  return static_cast<uint8_t>(x);
 }
 
 }  // namespace ht::quant

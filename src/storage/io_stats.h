@@ -45,7 +45,10 @@ inline const char* AccessClassName(AccessClass c) {
 
 /// Counters maintained by BufferPool / PagedFile. "Logical" reads count
 /// every page fetch requested by an index structure; "physical" reads count
-/// fetches that missed the buffer pool and touched the backing file.
+/// fetches that missed the buffer pool and touched the backing file. A
+/// hybrid-tree data page whose in-memory quantized sidecar rules out every
+/// row of a range or k-NN scan is not read, so it adds no logical read
+/// (its scan still counts in scan_points / quant_pruned below).
 ///
 /// The paper reports *disk accesses per query* assuming each visited node
 /// costs one random access, and normalizes sequential scan by a factor of

@@ -2,6 +2,7 @@
 
 #include "storage/quant_store.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/macros.h"
@@ -18,46 +19,49 @@ QuantizedPage::QuantizedPage(const float* block, size_t stride_floats,
   HT_CHECK(count > 0 && dim > 0);
   // Grid = the page's live bounding region: min/max per dimension over the
   // resident points. Tightest possible uniform grid for this page.
-  for (uint32_t d = 0; d < dim; ++d) {
-    grid_lo_[d] = block[d];
-    grid_hi_[d] = block[d];
-  }
-  for (size_t i = 1; i < count; ++i) {
-    const float* row = block + i * stride_floats;
-    for (uint32_t d = 0; d < dim; ++d) {
-      if (row[d] < grid_lo_[d]) grid_lo_[d] = row[d];
-      if (row[d] > grid_hi_[d]) grid_hi_[d] = row[d];
-    }
-  }
+  //
+  // Transposed mirrors: kTBlock rows per block, dimension-major, so
+  // element d of a block's rows is one contiguous group — 32-byte-aligned
+  // floats for the batch kernels, 8 bytes of codes for the ct_* kernels.
+  //
+  // Everything is filled in one pass per dimension (column), with the
+  // running values in registers.
+  constexpr size_t kT = kernels::kTBlock;
+  full_blocks_ = count / kT;
+  const size_t mirrored = full_blocks_ * kT;
   const size_t bytes = count * stride_;
   codes_.reset(static_cast<uint8_t*>(
       ::operator new(bytes, std::align_val_t{Page::kAlignment})));
   std::memset(codes_.get(), 0, bytes);
-  for (size_t i = 0; i < count; ++i) {
-    quant::EncodeSidecarRow(block + i * stride_floats, grid_lo_.data(),
-                            grid_hi_.data(), dim, codes_.get() + i * stride_);
-  }
-  // Transposed mirrors: kTBlock rows per block, dimension-major, so
-  // element d of a block's rows is one contiguous group — 32-byte-aligned
-  // floats for the batch kernels, 8 bytes of codes for the ct_* kernels.
-  full_blocks_ = count / kernels::kTBlock;
   if (full_blocks_ > 0) {
-    const size_t tf_floats = full_blocks_ * dim * kernels::kTBlock;
+    const size_t tf_floats = mirrored * dim;
     tf_.reset(static_cast<float*>(::operator new(
         tf_floats * sizeof(float), std::align_val_t{Page::kAlignment})));
     tc_.reset(static_cast<uint8_t*>(::operator new(
         tf_floats, std::align_val_t{Page::kAlignment})));
-    for (size_t b = 0; b < full_blocks_; ++b) {
-      float* tb = tf_.get() + b * dim * kernels::kTBlock;
-      uint8_t* tcb = tc_.get() + b * dim * kernels::kTBlock;
-      for (size_t lane = 0; lane < kernels::kTBlock; ++lane) {
-        const size_t i = b * kernels::kTBlock + lane;
-        const float* row = block + i * stride_floats;
-        const uint8_t* crow = codes_.get() + i * stride_;
-        for (uint32_t d = 0; d < dim; ++d) {
-          tb[d * kernels::kTBlock + lane] = row[d];
-          tcb[d * kernels::kTBlock + lane] = crow[d];
-        }
+  }
+  uint8_t* codes = codes_.get();
+  float* tf = tf_.get();
+  uint8_t* tc = tc_.get();
+  for (uint32_t d = 0; d < dim; ++d) {
+    float lo = block[d];
+    float hi = block[d];
+    for (size_t i = 1; i < count; ++i) {
+      const float v = block[i * stride_floats + d];
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
+    }
+    grid_lo_[d] = lo;
+    grid_hi_[d] = hi;
+    const double scale = quant::SidecarScale(lo, hi);
+    for (size_t i = 0; i < count; ++i) {
+      const float v = block[i * stride_floats + d];
+      const uint8_t c = quant::EncodeSidecarCell(v, lo, scale);
+      codes[i * stride_ + d] = c;
+      if (i < mirrored) {
+        const size_t t = (i / kT * dim + d) * kT + i % kT;
+        tf[t] = v;
+        tc[t] = c;
       }
     }
   }
@@ -77,53 +81,22 @@ bool QuantizedPage::Matches(const float* block, size_t stride_floats,
           std::memcmp(fresh.tf_.get(), tf_.get(), tf_bytes) == 0);
 }
 
-std::shared_ptr<const QuantizedPage> QuantStore::GetOrBuild(
-    PageId id, const float* block, size_t stride_floats, size_t count,
-    uint32_t dim, bool concurrent) const {
-  if (count == 0) return nullptr;
-  // Single code path for both modes: when `concurrent` is false the guards
-  // claim the capability without locking, so the serial path keeps its
-  // zero-synchronization cost while the analysis sees one locked protocol.
-  {
-    ReaderLock lock(&mu_, concurrent);
-    auto it = cache_.find(id);
-    if (it != cache_.end()) return it->second;
+void QuantStore::Put(PageId id, std::unique_ptr<const QuantizedPage> qp) {
+  if (id >= pages_.size()) {
+    if (qp == nullptr) return;
+    pages_.resize(static_cast<size_t>(id) + 1);
   }
-  // Build outside any lock: encoding is the expensive part and the input
-  // block belongs to a pinned page, so it cannot move underneath us.
-  auto built =
-      std::make_shared<const QuantizedPage>(block, stride_floats, count, dim);
-  WriterLock lock(&mu_, concurrent);
-  // A racing reader may have built the same sidecar; keep the first.
-  return cache_.emplace(id, std::move(built)).first->second;
-}
-
-std::shared_ptr<const QuantizedPage> QuantStore::Lookup(PageId id) const {
-  ReaderLock lock(&mu_);
-  auto it = cache_.find(id);
-  return it != cache_.end() ? it->second : nullptr;
-}
-
-void QuantStore::Invalidate(PageId id) {
-  WriterLock lock(&mu_);
-  cache_.erase(id);
-}
-
-void QuantStore::Clear() {
-  WriterLock lock(&mu_);
-  cache_.clear();
-}
-
-size_t QuantStore::CachedPages() const {
-  ReaderLock lock(&mu_);
-  return cache_.size();
+  if (pages_[id] != nullptr) --count_;
+  if (qp != nullptr) ++count_;
+  pages_[id] = std::move(qp);
 }
 
 std::vector<PageId> QuantStore::Snapshot() const {
-  ReaderLock lock(&mu_);
   std::vector<PageId> ids;
-  ids.reserve(cache_.size());
-  for (const auto& [id, page] : cache_) ids.push_back(id);
+  ids.reserve(count_);
+  for (size_t id = 0; id < pages_.size(); ++id) {
+    if (pages_[id] != nullptr) ids.push_back(static_cast<PageId>(id));
+  }
   return ids;
 }
 

@@ -7,10 +7,12 @@
 // kernels code_* entries) and refines only the survivors with exact
 // distances — results stay byte-identical to the unfiltered path.
 //
-// Sidecars are derived data, rebuilt from page contents on demand: they are
-// built lazily on the first scan of a page (not at write time, so
-// ingest pays nothing and trees opened from disk are covered) and
-// invalidated whenever the page is rewritten or freed.
+// Sidecars are derived data, never persisted. The tree keeps them eagerly
+// current as part of its in-memory directory: every write of a data page
+// rebuilds that page's sidecar, bulk loading and Open() build one per data
+// page, and freeing a page drops it. Because the codes and the grid are all
+// the filter needs, a scan can decide from the sidecar alone that no row of
+// a page can qualify — and then never read the page.
 //
 // Each sidecar also carries two transposed mirrors (kernels::kTBlock rows
 // per block, dimension-major within a block): the page's float block, so
@@ -25,10 +27,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "common/sync.h"
 #include "geometry/kernels/kernels.h"
 #include "geometry/quantize.h"
 #include "storage/page.h"
@@ -58,6 +58,10 @@ class QuantizedPage {
   }
   size_t count() const { return count_; }
   uint32_t dim() const { return dim_; }
+  /// The grid, which is the page's live bounding box: per-dimension
+  /// min/max over its points.
+  const std::vector<float>& grid_lo() const { return grid_lo_; }
+  const std::vector<float>& grid_hi() const { return grid_hi_; }
 
   /// Transposed float mirror covering full_blocks() * kernels::kTBlock
   /// rows (the count % kTBlock tail rows stay on the page's own block).
@@ -88,44 +92,33 @@ class QuantizedPage {
   std::unique_ptr<uint8_t, AlignedFree> tc_;  // transposed codes (unpadded)
 };
 
-/// Cache of sidecars keyed by data-page id. Mirrors the tree's conditional
-/// locking scheme: lookups/builds take the shared_mutex only when
-/// `concurrent` is set (single-threaded searches skip the lock); mutations
-/// (Invalidate/Clear) always lock — they happen on the write path, which is
-/// externally serialized but may race with nothing anyway and are cheap.
+/// The sidecars of a tree's data pages, indexed by page id. It holds
+/// exactly one sidecar per non-empty data page and none for any other page,
+/// so a lookup hit also tells the caller the page is a data page. There is
+/// no internal lock: the owner mutates the store only under write
+/// exclusivity and reads it under read sharing (HybridTree guards it with
+/// its rw_contract_ role), so concurrent readers share it as immutable.
 class QuantStore {
  public:
-  /// Returns the sidecar for `id`, building (outside the lock) and caching
-  /// it on first use. Returns nullptr when count == 0. Safe for concurrent
-  /// readers when `concurrent` is true; a racing double build keeps the
-  /// first inserted copy.
-  std::shared_ptr<const QuantizedPage> GetOrBuild(PageId id,
-                                                  const float* block,
-                                                  size_t stride_floats,
-                                                  size_t count, uint32_t dim,
-                                                  bool concurrent) const;
+  /// The sidecar of page `id`, or nullptr when it has none.
+  const QuantizedPage* Lookup(PageId id) const {
+    return id < pages_.size() ? pages_[id].get() : nullptr;
+  }
 
-  /// Returns the cached sidecar for `id`, or nullptr (never builds).
-  std::shared_ptr<const QuantizedPage> Lookup(PageId id) const;
+  /// Installs `qp` as the sidecar of page `id`, replacing any previous
+  /// one; nullptr drops it (the page was emptied, freed or reused).
+  void Put(PageId id, std::unique_ptr<const QuantizedPage> qp);
 
-  /// Drops the sidecar for `id` (page rewritten or freed). No-op if absent.
-  void Invalidate(PageId id);
+  /// Number of pages that have a sidecar.
+  size_t size() const { return count_; }
 
-  void Clear();
-
-  size_t CachedPages() const;
-
-  /// Snapshot of all cached page ids (validator: every cached sidecar must
-  /// correspond to a live data page with matching contents).
+  /// Ids of all pages that have a sidecar, ascending (validator: each must
+  /// be a live, non-empty data page of the tree).
   std::vector<PageId> Snapshot() const;
 
  private:
-  /// Leaf in the tree read path: taken while a data page is pinned, below
-  /// any tree/pool lock. When `concurrent` is false the guards claim the
-  /// capability without locking (single-threaded contract).
-  mutable SharedMutex mu_{LockRank::kQuantStore, "QuantStore::mu_"};
-  mutable std::unordered_map<PageId, std::shared_ptr<const QuantizedPage>>
-      cache_ HT_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<const QuantizedPage>> pages_;
+  size_t count_ = 0;
 };
 
 }  // namespace ht

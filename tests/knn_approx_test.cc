@@ -11,8 +11,9 @@
 //    identical to the unsharded bounded search at a fixed per-shard
 //    budget.
 //  * Sidecar gating: metrics without a code-space bound (QuadraticForm)
-//    build no sidecars; cursor scans charge the cursor_* IoStats
-//    counters, not the batch ones.
+//    never consult the sidecars, so they read every page they visit;
+//    cursor scans charge the cursor_* IoStats counters, not the batch
+//    ones.
 //  * Server recall tiers: tenant defaults apply, per-request overrides
 //    win, and the k-NN accounting reaches MetricsSnapshot.
 
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -339,24 +341,44 @@ TEST(KnnApproxSharded, BudgetedResultsAreDeterministicAcrossPools) {
 
 // --- sidecar gating and cursor I/O accounting -------------------------------
 
-TEST(KnnApproxSidecars, MetricsWithoutCodeBoundsBuildNoSidecars) {
+TEST(KnnApproxSidecars, MetricsWithoutCodeBoundsReadEveryVisitedPage) {
   if (kernels::BestSupportedTier() == kernels::SimdTier::kScalar) {
     GTEST_SKIP() << "quant filter disabled at scalar tier";
   }
+  ScopedTier forced(kernels::BestSupportedTier());
   Fixture f(/*quant=*/true);
+  Fixture plain(/*quant=*/false);
+  // Sidecars are part of the directory whatever the query metric.
+  EXPECT_GT(f.tree->CachedQuantPages(), 0u);
+  EXPECT_EQ(plain.tree->CachedQuantPages(), 0u);
   std::vector<double> eye(kDim * kDim, 0.0);
   for (uint32_t d = 0; d < kDim; ++d) eye[d * kDim + d] = 1.0;
   QuadraticFormMetric qf(kDim, std::move(eye));
   ASSERT_FALSE(qf.SupportsCodeFilter());
-  (void)f.tree->SearchKnn(f.centers[0], kK, qf).ValueOrDie();
-  // The capability check short-circuits BEFORE QuantStore::GetOrBuild, so
-  // a quadratic-form-only workload caches no useless sidecar pages.
-  EXPECT_EQ(f.tree->CachedQuantPages(), 0u);
-
   L2Metric l2;
   ASSERT_TRUE(l2.SupportsCodeFilter());
-  (void)f.tree->SearchKnn(f.centers[0], kK, l2).ValueOrDie();
-  EXPECT_GT(f.tree->CachedQuantPages(), 0u);
+
+  const auto reads = [](Fixture* fx, const DistanceMetric& m,
+                        std::span<const float> c) {
+    fx->tree->pool().ResetStats();
+    (void)fx->tree->SearchKnn(c, kK, m).ValueOrDie();
+    return fx->tree->pool().StatsSnapshot().logical_reads;
+  };
+  uint64_t qf_reads = 0;
+  uint64_t l2_reads = 0;
+  uint64_t l2_plain_reads = 0;
+  for (const auto& c : f.centers) {
+    // A metric without code bounds never consults the sidecars: it reads
+    // exactly the pages the sidecar-less tree reads.
+    EXPECT_EQ(reads(&f, qf, c), reads(&plain, qf, c));
+    qf_reads += reads(&f, qf, c);
+    l2_reads += reads(&f, l2, c);
+    l2_plain_reads += reads(&plain, l2, c);
+  }
+  // L2 skips the pages its sidecars rule out; the same query under the
+  // equivalent identity quadratic form cannot.
+  EXPECT_LT(l2_reads, l2_plain_reads);
+  EXPECT_LT(l2_reads, qf_reads);
 }
 
 TEST(KnnApproxSidecars, CursorScansChargeCursorCounters) {

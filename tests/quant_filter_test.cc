@@ -447,7 +447,7 @@ TEST(QuantStoreTest, MatchesDetectsContentChanges) {
   EXPECT_TRUE(qp.Matches(b.block(), b.stride(), b.count, dim));
 }
 
-TEST(QuantStoreTest, LifecycleAndInvalidation) {
+TEST(QuantStoreTest, PutLookupReplaceAndDrop) {
   const uint32_t dim = 4;
   TestBlock b = MakeBlock(dim, 8);
   for (size_t i = 0; i < b.count; ++i) {
@@ -455,23 +455,33 @@ TEST(QuantStoreTest, LifecycleAndInvalidation) {
       b.row(i)[d] = 0.1f * static_cast<float>(i + d);
     }
   }
+  const auto build = [&] {
+    return std::make_unique<const QuantizedPage>(b.block(), b.stride(),
+                                                 b.count, dim);
+  };
   QuantStore store;
-  EXPECT_EQ(store.CachedPages(), 0u);
+  EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.Lookup(7), nullptr);
-  auto qp = store.GetOrBuild(7, b.block(), b.stride(), b.count, dim,
-                             /*concurrent=*/false);
-  ASSERT_NE(qp, nullptr);
-  EXPECT_EQ(store.CachedPages(), 1u);
-  // Cached: same object back.
-  EXPECT_EQ(store.GetOrBuild(7, b.block(), b.stride(), b.count, dim, false),
-            qp);
-  EXPECT_EQ(store.Lookup(7), qp);
-  // Empty pages never get a sidecar.
-  EXPECT_EQ(store.GetOrBuild(9, b.block(), b.stride(), 0, dim, false),
-            nullptr);
-  store.Invalidate(7);
+  auto first = build();
+  const QuantizedPage* raw = first.get();
+  store.Put(7, std::move(first));
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.Lookup(7), raw);
+  EXPECT_EQ(store.Lookup(6), nullptr);
+  EXPECT_EQ(store.Lookup(1u << 20), nullptr);
+  // Replacing a page's sidecar keeps one per page.
+  store.Put(7, build());
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_NE(store.Lookup(7), nullptr);
+  store.Put(3, build());
+  EXPECT_EQ(store.Snapshot(), (std::vector<PageId>{3, 7}));
+  // Dropping: a present page, then pages that never had one.
+  store.Put(7, nullptr);
   EXPECT_EQ(store.Lookup(7), nullptr);
-  EXPECT_EQ(store.CachedPages(), 0u);
+  store.Put(5, nullptr);
+  store.Put(1u << 20, nullptr);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.Snapshot(), (std::vector<PageId>{3}));
 }
 
 // --- end-to-end byte-identity ----------------------------------------------
@@ -571,13 +581,12 @@ TEST(QuantByteIdentity, FilteredResultsMatchScalarPathAtEveryTier) {
 
 // --- lifecycle through the tree --------------------------------------------
 
-TEST(QuantTreeLifecycle, LazyBuildInvalidateAndValidate) {
-  // Sidecars only engage on SIMD tiers (the scalar tier runs the
-  // pre-sidecar hot path), so pin the best one for the lifecycle checks.
-  if (kernels::BestSupportedTier() == kernels::SimdTier::kScalar) {
-    GTEST_SKIP() << "sidecar filtering requires a SIMD tier";
-  }
-  ScopedTier forced(kernels::BestSupportedTier());
+/// Data pages of `tree` (every data page of a non-empty tree holds rows).
+size_t DataPages(HybridTree* tree) {
+  return static_cast<size_t>(tree->ComputeStats().ValueOrDie().data_nodes);
+}
+
+TEST(QuantTreeLifecycle, EagerBuildRebuildAndValidate) {
   const uint32_t dim = 8;
   Rng rng(606);
   Dataset data = GenUniform(1200, dim, rng);
@@ -585,37 +594,57 @@ TEST(QuantTreeLifecycle, LazyBuildInvalidateAndValidate) {
   auto tree = BuildTree(data, dim, /*disable_batch=*/false, /*quant=*/true,
                         &file);
 
-  // Nothing is built until a bounded scan needs it.
-  EXPECT_EQ(tree->CachedQuantPages(), 0u);
+  // Every data page has its sidecar before any query runs, and queries
+  // build nothing: the store is part of the directory, not a cache.
+  EXPECT_EQ(tree->CachedQuantPages(), DataPages(tree.get()));
   L2Metric l2;
   std::vector<float> center(dim, 0.5f);
   ASSERT_TRUE(tree->SearchRange(center, 0.4, l2).ok());
-  const size_t cached = tree->CachedQuantPages();
-  EXPECT_GT(cached, 0u);
-  // The validator cross-checks every cached sidecar against its page.
+  EXPECT_EQ(tree->CachedQuantPages(), DataPages(tree.get()));
+  // The validator checks that each sidecar exists and matches its page.
   EXPECT_TRUE(tree->CheckInvariants().ok());
 
-  // Mutations invalidate affected sidecars and keep the validator green.
-  for (size_t i = 0; i < 200; ++i) {
-    std::vector<float> p(dim);
+  // Mutations rebuild the affected sidecars and keep the store complete.
+  std::vector<std::vector<float>> inserted(200, std::vector<float>(dim));
+  for (size_t i = 0; i < inserted.size(); ++i) {
     for (uint32_t d = 0; d < dim; ++d) {
-      p[d] = static_cast<float>(rng.NextDouble());
+      inserted[i][d] = static_cast<float>(rng.NextDouble());
     }
-    ASSERT_TRUE(tree->Insert(p, 50000 + i).ok());
+    ASSERT_TRUE(tree->Insert(inserted[i], 50000 + i).ok());
   }
   EXPECT_TRUE(tree->CheckInvariants().ok());
-  ASSERT_TRUE(tree->SearchRange(center, 0.4, l2).ok());
-  EXPECT_TRUE(tree->CheckInvariants().ok());
-  for (size_t i = 0; i < 100; ++i) {
+  EXPECT_EQ(tree->CachedQuantPages(), DataPages(tree.get()));
+  for (size_t i = 0; i < 300; ++i) {
     ASSERT_TRUE(tree->Delete(data.Row(i), i).ok());
   }
   EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_EQ(tree->CachedQuantPages(), DataPages(tree.get()));
+
+  // Open() rebuilds the whole store from the pages.
+  ASSERT_TRUE(tree->Flush().ok());
+  tree.reset();
+  auto reopened = HybridTree::Open(&file).ValueOrDie();
+  EXPECT_EQ(reopened->CachedQuantPages(), DataPages(reopened.get()));
+  EXPECT_TRUE(reopened->CheckInvariants().ok());
+
+  // Deleting everything collapses the root to an empty data page, which
+  // has no sidecar.
+  for (size_t i = 300; i < data.size(); ++i) {
+    ASSERT_TRUE(reopened->Delete(data.Row(i), i).ok());
+  }
+  for (size_t i = 0; i < inserted.size(); ++i) {
+    ASSERT_TRUE(reopened->Delete(inserted[i], 50000 + i).ok());
+  }
+  EXPECT_EQ(reopened->size(), 0u);
+  EXPECT_EQ(reopened->CachedQuantPages(), 0u);
+  EXPECT_TRUE(reopened->CheckInvariants().ok());
 
   // With the option off no sidecars are ever built.
   MemPagedFile file2(4096);
   auto tree_off = BuildTree(data, dim, false, /*quant=*/false, &file2);
   ASSERT_TRUE(tree_off->SearchRange(center, 0.4, l2).ok());
   EXPECT_EQ(tree_off->CachedQuantPages(), 0u);
+  EXPECT_TRUE(tree_off->CheckInvariants().ok());
 }
 
 // --- accounting ------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/hybrid_tree.h"
@@ -164,6 +165,90 @@ TEST(ValidatorTest, DetectsWrongEntryCount) {
   Status s = f.ReopenAndValidate();
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// --- quantized sidecars: complete and current -----------------------------
+
+/// Rewrites data page `page` through the pool, bypassing the tree's write
+/// path and with it the page's sidecar upkeep.
+void OverwriteBehindTheTree(HybridTree* tree, PageId page,
+                            const DataNode& node) {
+  PageHandle h = tree->pool().Fetch(page).ValueOrDie();
+  node.Serialize(h.data(), h.size(), tree->options().dim);
+  h.MarkDirty();
+}
+
+std::unique_ptr<HybridTree> EmptyTree(MemPagedFile* file, bool quant) {
+  HybridTreeOptions o;
+  o.dim = 4;
+  o.page_size = kPageSize;
+  o.quant_sidecars = quant;
+  return HybridTree::Create(o, file).ValueOrDie();
+}
+
+TEST(ValidatorTest, DetectsDataPageWithoutSidecar) {
+  DataNode node;
+  node.entries.push_back(DataEntry{1, {0.1f, 0.2f, 0.3f, 0.4f}});
+  ValidateOptions opts;
+  opts.occupancy = false;  // the tree's entry count is stale as well
+  for (const bool quant : {true, false}) {
+    MemPagedFile file(kPageSize);
+    auto tree = EmptyTree(&file, quant);
+    // The root starts as an empty data page, which has no sidecar.
+    OverwriteBehindTheTree(tree.get(), tree->root_page(), node);
+    Status s = TreeValidator(tree.get(), opts).Validate();
+    if (!quant) {
+      EXPECT_TRUE(s.ok()) << s.ToString();  // no sidecars are expected
+      continue;
+    }
+    ASSERT_FALSE(s.ok());
+    EXPECT_NE(s.message().find("without a quantized sidecar"),
+              std::string::npos)
+        << s.ToString();
+  }
+}
+
+TEST(ValidatorTest, DetectsSidecarLeftOnAnEmptiedPage) {
+  MemPagedFile file(kPageSize);
+  auto tree = EmptyTree(&file, /*quant=*/true);
+  const std::vector<float> p = {0.1f, 0.2f, 0.3f, 0.4f};
+  HT_CHECK_OK(tree->Insert(p, 1));
+  EXPECT_EQ(tree->CachedQuantPages(), 1u);
+  OverwriteBehindTheTree(tree.get(), tree->root_page(), DataNode{});
+  ValidateOptions opts;
+  opts.occupancy = false;
+  Status s = TreeValidator(tree.get(), opts).Validate();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("must not have one"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(ValidatorTest, DetectsStaleSidecar) {
+  MemPagedFile file(kPageSize);
+  Dataset data = SomeData();
+  auto tree = BuildTree(&file, data, ElsMode::kInMemory);
+  HT_CHECK_OK(tree->Flush());
+  PageId page = kInvalidPageId;
+  for (PageId id = 1; id < file.page_count() && page == kInvalidPageId;
+       ++id) {
+    Page img(kPageSize);
+    HT_CHECK_OK(file.Read(id, &img));
+    if (PeekNodeKind(img.data()) == NodeKind::kData) page = id;
+  }
+  ASSERT_NE(page, kInvalidPageId);
+  // Swap the first coordinate of entries 0 and 1: every region check
+  // still holds (each box covers both values), only the sidecar is stale.
+  DataNode node =
+      DataNode::Deserialize(
+          tree->pool().Fetch(page).ValueOrDie().data(), kPageSize, 4)
+          .ValueOrDie();
+  ASSERT_GE(node.entries.size(), 2u);
+  ASSERT_NE(node.entries[0].vec[0], node.entries[1].vec[0]);
+  std::swap(node.entries[0].vec[0], node.entries[1].vec[0]);
+  OverwriteBehindTheTree(tree.get(), page, node);
+  Status s = tree->CheckInvariants();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("stale"), std::string::npos) << s.ToString();
 }
 
 // --- option groups and pin accounting ------------------------------------
