@@ -3,12 +3,24 @@
 // costs O(log n) comparisons and each boundary is checked once, while the
 // array representation checks every child's box (boundaries tested
 // redundantly).
+//
+// The claim is about box queries, whose lsp/rsp tests prune kd subtrees.
+// A distance query (k-NN expansion, range) prunes nothing at internal kd
+// nodes: it needs MINDIST to every leaf's live box. The MinDist pair
+// measures that case on the same node: the kd walk with one
+// MinDistToBox per leaf against one batched MINDIST call over the node's
+// flat leaf table (the tree's distance-query path), per SIMD tier.
 
 #include <benchmark/benchmark.h>
+
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/node.h"
 #include "data/workload.h"
+#include "geometry/kernels/kernels.h"
+#include "geometry/metrics.h"
 
 namespace ht {
 namespace {
@@ -87,6 +99,87 @@ void BM_IntranodeArrayScan(benchmark::State& state) {
   state.SetLabel(std::to_string(f.child_brs.size()) + " children");
 }
 
+/// The Fixture's node with its leaf table built (live box = kd region),
+/// the per-leaf boxes a kd walk reads, and query points.
+struct DistanceFixture {
+  Fixture f;
+  std::vector<Box> leaf_boxes;  // by table row
+  std::vector<std::vector<float>> centers;
+
+  DistanceFixture(uint32_t dim, int depth) : f(dim, depth) {
+    f.node.BuildLeafTable(Box::UnitCube(dim),
+                          [this](const KdNode&, const Box& kd_br) {
+                            leaf_boxes.push_back(kd_br);
+                            return kd_br;
+                          });
+    Rng rng(9000 + dim + depth);
+    for (int q = 0; q < 64; ++q) {
+      std::vector<float> c(dim);
+      for (auto& v : c) v = static_cast<float>(rng.NextDouble());
+      centers.push_back(std::move(c));
+    }
+  }
+};
+
+/// Kd walk (both children of every internal node, left first) with one
+/// virtual MinDistToBox per leaf — the pre-table distance-query path.
+void BM_IntranodeKdMinDist(benchmark::State& state) {
+  DistanceFixture df(static_cast<uint32_t>(state.range(0)),
+                     static_cast<int>(state.range(1)));
+  const L2Metric l2;
+  const DistanceMetric& metric = l2;
+  std::vector<const KdNode*> stack;
+  size_t qi = 0;
+  for (auto _ : state) {
+    const auto& c = df.centers[qi++ % df.centers.size()];
+    double sum = 0.0;
+    stack.clear();
+    stack.push_back(df.f.node.root.get());
+    while (!stack.empty()) {
+      const KdNode* n = stack.back();
+      stack.pop_back();
+      if (n->IsLeaf()) {
+        sum += metric.MinDistToBox(c, df.leaf_boxes[n->row]);
+        continue;
+      }
+      stack.push_back(n->right.get());
+      stack.push_back(n->left.get());
+    }
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetLabel(std::to_string(df.leaf_boxes.size()) + " children");
+}
+
+/// One batched MINDIST call over the flat leaf table, then a row loop;
+/// range(2) is the SIMD tier (0 scalar, 1 AVX2, 2 AVX-512).
+void BM_IntranodeTableMinDist(benchmark::State& state) {
+  const auto tier = static_cast<kernels::SimdTier>(state.range(2));
+  if (!kernels::TierSupported(tier)) {
+    state.SkipWithError("SIMD tier not supported on this host");
+    return;
+  }
+  kernels::ForceTier(tier);
+  DistanceFixture df(static_cast<uint32_t>(state.range(0)),
+                     static_cast<int>(state.range(1)));
+  const L2Metric l2;
+  const DistanceMetric& metric = l2;
+  const LeafTable& t = df.f.node.leaves;
+  std::vector<double> out(t.size());
+  Box scratch;
+  size_t qi = 0;
+  for (auto _ : state) {
+    const auto& c = df.centers[qi++ % df.centers.size()];
+    metric.BatchMinDistToBoxes(c, t.lo.data(), t.hi.data(), t.size(),
+                               &scratch, out.data());
+    double sum = 0.0;
+    for (size_t i = 0; i < t.size(); ++i) sum += out[i];
+    benchmark::DoNotOptimize(sum);
+  }
+  kernels::ClearForcedTier();
+  state.SetLabel(std::to_string(t.size()) + " children, " +
+                 kernels::TierName(tier));
+}
+
 // Args: {dimensionality, kd depth} -> 2^depth children.
 BENCHMARK(BM_IntranodeKdTree)
     ->Args({16, 5})
@@ -98,6 +191,14 @@ BENCHMARK(BM_IntranodeArrayScan)
     ->Args({16, 7})
     ->Args({64, 5})
     ->Args({64, 7});
+BENCHMARK(BM_IntranodeKdMinDist)
+    ->Args({16, 5})
+    ->Args({16, 7})
+    ->Args({64, 5})
+    ->Args({64, 7});
+// Args: {dimensionality, kd depth, SIMD tier}.
+BENCHMARK(BM_IntranodeTableMinDist)
+    ->ArgsProduct({{16, 64}, {5, 7}, {0, 1, 2}});
 
 }  // namespace
 }  // namespace ht

@@ -244,18 +244,13 @@ Result<std::shared_ptr<const IndexNode>> HybridTree::ReadIndexNodeCached(
       node.AttachElsBlob(sit->second, codec_.CodeBytes());
     }
   }
-  // Precompute each leaf's decoded live box against its node-local region.
-  std::function<void(KdNode*, const Box&)> fill = [&](KdNode* n,
-                                                      const Box& nbr) {
-    if (n->IsLeaf()) {
-      n->cached_live =
-          els_enabled() ? codec_.Decode(n->els, nbr) : nbr;
-      return;
-    }
-    fill(n->left.get(), KdLeftBr(nbr, *n));
-    fill(n->right.get(), KdRightBr(nbr, *n));
-  };
-  fill(node.root.get(), Box::UnitCube(options_.dim));
+  // The flat leaf table: each leaf's decoded live box against its
+  // node-local region (the kd region itself with ELS off), in preorder.
+  node.BuildLeafTable(Box::UnitCube(options_.dim),
+                      [&](const KdNode& leaf, const Box& kd_br) {
+                        return els_enabled() ? codec_.Decode(leaf.els, kd_br)
+                                             : kd_br;
+                      });
   auto sp = std::make_shared<const IndexNode>(std::move(node));
   // Two readers may race to deserialize the same page; first to publish
   // wins and both views are identical (the page is immutable while
@@ -910,14 +905,16 @@ Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
   h.Release();
 
   // Intra-node search is 1-d interval tests on the kd tree (the paper's
-  // CPU advantage); the §3.4 two-step check uses the leaf's precomputed
-  // decoded live box. Iterative preorder (left first, matching the
+  // CPU advantage: lsp/rsp prune whole kd subtrees of a box query); the
+  // §3.4 two-step check reads the leaf's decoded live box from the node's
+  // leaf table. Iterative preorder (left first, matching the
   // recursive formulation) over the shared scratch stack: this level only
   // pops entries above its own base, so nested page descents can reuse the
   // same stack. Qualifying children are collected first and descended
   // second, so the whole batch can be prefetched in one round trip; the
   // descent order is the walk's preorder, keeping results byte-identical
   // with prefetch on or off.
+  const LeafTable& leaves = node->leaves;
   auto& stack = scratch->stack;
   auto& descents = scratch->descents;
   const size_t base = stack.size();
@@ -929,12 +926,12 @@ Status HybridTree::SearchBoxRec(PageId page, const Box& query, bool contained,
     if (n->IsLeaf()) {
       bool child_contained = contained;
       if (!contained) {
-        if (els_enabled() && !query.Intersects(n->cached_live)) continue;
-        // cached_live is the decoded live box (ELS on) or the kd region
+        if (els_enabled() && !leaves.QueryIntersects(query, n->row)) continue;
+        // The table row is the decoded live box (ELS on) or the kd region
         // (ELS off); either way all data below lies inside it, so full
         // containment lets the whole subtree skip per-point tests.
         child_contained = !options_.disable_batch_kernels &&
-                          query.ContainsBox(n->cached_live);
+                          leaves.QueryContains(query, n->row);
       }
       descents.push_back(SearchScratch::Descent{n->child, child_contained});
       continue;
@@ -1007,16 +1004,7 @@ Status HybridTree::ScanAllRec(
   // the whole fanout into one prefetch round trip before descending
   // (bulk-loaded trees allocate children contiguously, so this coalesces
   // into sequential vectored reads).
-  std::vector<PageId> children;
-  std::function<void(const KdNode*)> collect = [&](const KdNode* n) {
-    if (n->IsLeaf()) {
-      children.push_back(n->child);
-      return;
-    }
-    collect(n->left.get());
-    collect(n->right.get());
-  };
-  collect(node->root.get());
+  const std::vector<PageId>& children = node->leaves.child;
   if (options_.prefetch_depth > 0 && children.size() > 1) {
     pool_->Prefetch(children);
   }
@@ -1045,7 +1033,6 @@ Status HybridTree::SearchRangeInto(std::span<const float> center,
   out->clear();
   SearchScratch local;
   if (scratch == nullptr) scratch = &local;
-  scratch->stack.clear();
   scratch->descents.clear();
   return SearchRangeRec(root_, center, radius, metric, scratch, out);
 }
@@ -1077,6 +1064,17 @@ void BatchPageDistances(const DistanceMetric& metric,
 }
 
 }  // namespace
+
+const double* HybridTree::LeafMinDists(const LeafTable& leaves,
+                                       std::span<const float> center,
+                                       const DistanceMetric& metric,
+                                       SearchScratch* scratch) {
+  const size_t n = leaves.size();
+  if (scratch->mindist.size() < n) scratch->mindist.resize(n);
+  metric.BatchMinDistToBoxes(center, leaves.lo.data(), leaves.hi.data(), n,
+                             &scratch->box, scratch->mindist.data());
+  return scratch->mindist.data();
+}
 
 const QuantizedPage* HybridTree::UsableSidecar(
     PageId page, const DistanceMetric& metric) const {
@@ -1218,24 +1216,18 @@ Status HybridTree::SearchRangeRec(PageId page, std::span<const float> center,
                       ReadIndexNodeCached(page, h.data(), h.size()));
   h.Release();
 
-  // Pruning happens at the leaves' live boxes (MINDIST > radius); internal
-  // kd nodes only route the left-first preorder walk. As in SearchBoxRec,
-  // children are collected, batch-prefetched, then descended in preorder.
-  auto& stack = scratch->stack;
+  // Pruning happens only at the leaves' live boxes (MINDIST > radius):
+  // internal kd nodes would merely route a walk to every leaf, so one
+  // batched MINDIST call over the leaf table replaces it. As in
+  // SearchBoxRec, children are collected in preorder (the table's row
+  // order), batch-prefetched, then descended.
+  const LeafTable& leaves = node->leaves;
+  const double* mindist = LeafMinDists(leaves, center, metric, scratch);
   auto& descents = scratch->descents;
-  const size_t base = stack.size();
   const size_t dbase = descents.size();
-  stack.push_back(node->root.get());
-  while (stack.size() > base) {
-    const KdNode* n = stack.back();
-    stack.pop_back();
-    if (n->IsLeaf()) {
-      if (metric.MinDistToBox(center, n->cached_live) > radius) continue;
-      descents.push_back(SearchScratch::Descent{n->child, false});
-      continue;
-    }
-    stack.push_back(n->right.get());
-    stack.push_back(n->left.get());
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    if (mindist[i] > radius) continue;
+    descents.push_back(SearchScratch::Descent{leaves.child[i], false});
   }
   if (options_.prefetch_depth > 0 && descents.size() - dbase > 1) {
     // Data pages whose sidecar rules out every row will not be read, so
@@ -1427,28 +1419,23 @@ Status HybridTree::SearchKnnBoundedInto(
     HT_ASSIGN_OR_RETURN(std::shared_ptr<const IndexNode> node,
                         ReadIndexNodeCached(item.page, h.data(), h.size()));
     h.Release();
-    auto& stack = scratch->stack;
-    stack.clear();
-    stack.push_back(node->root.get());
-    while (!stack.empty()) {
-      const KdNode* n = stack.back();
-      stack.pop_back();
-      if (n->IsLeaf()) {
-        const double d = metric.MinDistToBox(center, n->cached_live);
-        if (d * prune_factor <= kth()) {
-          frontier.push_back(SearchScratch::PageRef{d, n->child});
-          std::push_heap(frontier.begin(), frontier.end(), frontier_gt);
-        } else if (eps_active && d <= kth()) {
-          // The epsilon rule skipped a subtree the exact gate would have
-          // admitted — the result is now (1+epsilon)-approximate.
-          early_terminated = true;
-        }
-        continue;
+    // One batched MINDIST call covers every leaf of the node. Rows are in
+    // kd preorder (left first), so the frontier receives its pushes in the
+    // order the recursive formulation makes them; kth() cannot move here
+    // (only page scans offer candidates).
+    const LeafTable& leaves = node->leaves;
+    const double* mindist = LeafMinDists(leaves, center, metric, scratch);
+    const double bound = kth();
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      const double d = mindist[i];
+      if (d * prune_factor <= bound) {
+        frontier.push_back(SearchScratch::PageRef{d, leaves.child[i]});
+        std::push_heap(frontier.begin(), frontier.end(), frontier_gt);
+      } else if (eps_active && d <= bound) {
+        // The epsilon rule skipped a subtree the exact gate would have
+        // admitted — the result is now (1+epsilon)-approximate.
+        early_terminated = true;
       }
-      // Left first (preorder), matching the recursive formulation so the
-      // frontier receives pushes in the same order.
-      stack.push_back(n->right.get());
-      stack.push_back(n->left.get());
     }
   }
   // Natural loop exit under epsilon: if the frontier's best subtree passes
@@ -1972,22 +1959,18 @@ HybridTree::KnnCursor::Next() {
         std::shared_ptr<const IndexNode> node,
         tree_->ReadIndexNodeCached(item.page, h.data(), h.size()));
     h.Release();
-    stack_.clear();
-    stack_.push_back(node->root.get());
-    while (!stack_.empty()) {
-      const KdNode* n = stack_.back();
-      stack_.pop_back();
-      if (n->IsLeaf()) {
-        const double d = metric_->MinDistToBox(center_, n->cached_live);
-        if (d * (1.0 + opts_.epsilon) <= eb) {
-          queue_.push(Item{d, false, 0, n->child});
-        } else if (opts_.epsilon > 0.0 && d <= eb) {
-          early_terminated_ = true;
-        }
-        continue;
+    // One batched MINDIST call per node; rows in kd preorder, as the batch
+    // k-NN expansion.
+    const LeafTable& leaves = node->leaves;
+    const double* mindist =
+        LeafMinDists(leaves, center_, *metric_, &scratch_);
+    for (size_t i = 0; i < leaves.size(); ++i) {
+      const double d = mindist[i];
+      if (d * (1.0 + opts_.epsilon) <= eb) {
+        queue_.push(Item{d, false, 0, leaves.child[i]});
+      } else if (opts_.epsilon > 0.0 && d <= eb) {
+        early_terminated_ = true;
       }
-      stack_.push_back(n->right.get());
-      stack_.push_back(n->left.get());
     }
   }
   return std::optional<std::pair<double, uint64_t>>();

@@ -301,8 +301,7 @@ class HybridTree {
     KnnCursorOptions opts_;
     std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue_;
     std::vector<double> best_;           // max-heap: `limit` best distances
-    std::vector<const KdNode*> stack_;   // intra-node kd walk
-    SearchScratch scratch_;              // page-scan + quant-filter buffers
+    SearchScratch scratch_;  // page-scan, quant-filter and MINDIST buffers
     uint64_t leaf_visits_ = 0;
     bool early_terminated_ = false;
   };
@@ -409,7 +408,7 @@ class HybridTree {
       HT_REQUIRES(rw_contract_);
   Result<IndexNode> ReadIndexNode(PageId id) HT_REQUIRES(rw_contract_);
   /// Read-path variant: returns the parsed node from the in-memory cache
-  /// (decoded live boxes precomputed), deserializing `page_data` on a miss.
+  /// (its LeafTable built), deserializing `page_data` on a miss.
   /// Does NOT fetch from the pool — the caller already did (and paid the
   /// logical read). Mutating paths must not use this. Safe to call from
   /// concurrent readers when concurrent_reads_ is on.
@@ -498,9 +497,10 @@ class HybridTree {
   // Const and re-entrant: all traversal state lives in the per-query
   // scratch and locals, never on the tree object. `contained` marks that
   // an ancestor's live box was fully inside the query, so every point
-  // below qualifies without per-point tests (scan-level pruning). The kd
-  // walks share scratch->stack across page-nesting levels via a base
-  // marker (each level only pops entries it pushed).
+  // below qualifies without per-point tests (scan-level pruning). The box
+  // walk shares scratch->stack across page-nesting levels via a base
+  // marker (each level only pops entries it pushed); the distance queries
+  // walk no kd nodes, they loop over the node's leaf table.
   Status SearchBoxRec(PageId page, const Box& query, bool contained,
                       SearchScratch* scratch, std::vector<uint64_t>* out) const
       HT_REQUIRES_SHARED(rw_contract_);
@@ -515,6 +515,13 @@ class HybridTree {
       PageId page,
       const std::function<void(uint64_t, std::span<const float>)>& fn) const
       HT_REQUIRES_SHARED(rw_contract_);
+  /// MINDIST from `center` to every row of `leaves`, in one batched call,
+  /// into scratch->mindist (returned). Row order is kd preorder, so a loop
+  /// over the rows replays the order in which a kd walk met the leaves.
+  static const double* LeafMinDists(const LeafTable& leaves,
+                                    std::span<const float> center,
+                                    const DistanceMetric& metric,
+                                    SearchScratch* scratch);
   /// The sidecar a range / k-NN / cursor scan of `page` may use with
   /// `metric`, or nullptr: when `page` has none (an index page or an empty
   /// data page), or when sidecars cannot help — the option is off, batch
@@ -631,11 +638,12 @@ class HybridTree {
   std::vector<ChildRef> insert_candidates_;
 
   /// Parsed-node cache for the read paths (searches, cursors): the decoded
-  /// in-memory view of an index page, with each leaf's live box already
-  /// decoded. Invalidated whenever the page is written or freed. Access
-  /// counts are unaffected (callers fetch the page first regardless).
-  /// Guarded by node_cache_mu_ when concurrent_reads_ is on; mutable
-  /// because filling the cache is part of the const read path.
+  /// in-memory view of an index page, with its flat leaf table (child
+  /// pages and decoded live boxes) built. Invalidated whenever the page is
+  /// written or freed. Access counts are unaffected (callers fetch the
+  /// page first regardless). Guarded by node_cache_mu_ when
+  /// concurrent_reads_ is on; mutable because filling the cache is part of
+  /// the const read path.
   mutable std::unordered_map<PageId, std::shared_ptr<const IndexNode>>
       node_cache_ HT_GUARDED_BY(node_cache_mu_);
   mutable SharedMutex node_cache_mu_{LockRank::kTreeNodeCache,

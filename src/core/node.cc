@@ -211,6 +211,28 @@ void IndexNode::CollectChildren(const Box& node_br,
   if (root) CollectChildrenRec(root.get(), node_br, out);
 }
 
+void IndexNode::BuildLeafTable(
+    const Box& node_br,
+    const std::function<Box(const KdNode& leaf, const Box& kd_br)>& live) {
+  std::vector<ChildRef> kids;
+  CollectChildren(node_br, &kids);  // left to right = leaf preorder
+  const size_t n = kids.size();
+  const uint32_t dim = node_br.dim();
+  leaves.child.resize(n);
+  leaves.lo.resize(static_cast<size_t>(dim) * n);
+  leaves.hi.resize(static_cast<size_t>(dim) * n);
+  for (size_t i = 0; i < n; ++i) {
+    KdNode* leaf = kids[i].leaf;
+    leaf->row = static_cast<uint32_t>(i);
+    leaves.child[i] = leaf->child;
+    const Box box = live(*leaf, kids[i].kd_br);
+    for (uint32_t d = 0; d < dim; ++d) {
+      leaves.lo[d * n + i] = box.lo(d);
+      leaves.hi[d * n + i] = box.hi(d);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // IndexNode serialization
 //

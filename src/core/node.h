@@ -15,6 +15,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -118,9 +119,9 @@ struct KdNode {
   // Leaf payload.
   PageId child = kInvalidPageId;
   ElsCode els;
-  /// In-memory only (never serialized): the decoded live box, precomputed
-  /// when a parsed node enters the read cache. dim() == 0 means "not set".
-  Box cached_live;
+  /// In-memory only (never serialized): this leaf's row in the owning
+  /// IndexNode's leaf table, set by IndexNode::BuildLeafTable.
+  uint32_t row = 0;
 
   bool IsLeaf() const { return left == nullptr; }
 
@@ -159,11 +160,58 @@ struct ChildRef {
   Box kd_br;
 };
 
+/// Flat leaf table of a parsed index node: row i is the node's i-th kd
+/// leaf in preorder (left first — the order every kd walk meets the
+/// leaves), holding its child page and its decoded live box. Bounds are
+/// stored dimension-major, lo[d * size() + i] and hi[d * size() + i], so
+/// one batched MINDIST call covers every leaf of the node
+/// (DistanceMetric::BatchMinDistToBoxes) with contiguous per-dimension
+/// loads.
+struct LeafTable {
+  std::vector<PageId> child;
+  std::vector<float> lo;
+  std::vector<float> hi;
+
+  size_t size() const { return child.size(); }
+  /// query.Intersects(box of `row`) and query.ContainsBox(box of `row`),
+  /// read from the table: the same ordered compares as the
+  /// box_intersects / box_contains kernels, so a NaN bound never proves
+  /// disjointness or escape.
+  bool QueryIntersects(const Box& query, uint32_t row) const {
+    const size_t n = size();
+    for (uint32_t d = 0; d < query.dim(); ++d) {
+      if (hi[d * n + row] < query.lo(d) || lo[d * n + row] > query.hi(d)) {
+        return false;
+      }
+    }
+    return true;
+  }
+  bool QueryContains(const Box& query, uint32_t row) const {
+    const size_t n = size();
+    for (uint32_t d = 0; d < query.dim(); ++d) {
+      if (lo[d * n + row] < query.lo(d) || hi[d * n + row] > query.hi(d)) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
 /// Index page: intra-node kd-tree plus the tree level of this node
 /// (level 1 = children are data nodes).
 struct IndexNode {
   uint8_t level = 1;
   std::unique_ptr<KdNode> root;
+  /// In-memory only (never serialized): filled by BuildLeafTable when a
+  /// parsed node enters the tree's read cache; empty otherwise.
+  LeafTable leaves;
+
+  /// Fills `leaves` (and each leaf's KdNode::row) in preorder. `live`
+  /// returns a leaf's live box given the leaf and its kd region within
+  /// `node_br`.
+  void BuildLeafTable(
+      const Box& node_br,
+      const std::function<Box(const KdNode& leaf, const Box& kd_br)>& live);
 
   size_t NumChildren() const;
   /// Count of kd-tree nodes (internal + leaf).

@@ -5,10 +5,11 @@
 // the batch-kernel distance output buffer (page granularity), the
 // best-first traversal frontier (a vector-backed binary min-heap), the
 // bounded k-NN candidate heap (a vector-backed binary max-heap, replacing
-// std::priority_queue so the backing store survives across queries), and
-// the intra-node kd-walk stack. Buffers are cleared — never shrunk — at
-// the start of each search, so after one warm-up query the steady-state
-// search loop performs no heap allocation (verified by search_alloc_test).
+// std::priority_queue so the backing store survives across queries), the
+// per-index-node MINDIST output, and the box walk's intra-node kd stack.
+// Buffers are cleared — never shrunk — at the start of each search, so
+// after one warm-up query the steady-state search loop performs no heap
+// allocation (verified by search_alloc_test).
 //
 // Ownership rules:
 //  * One scratch serves one query at a time. It may be reused freely
@@ -25,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "geometry/box.h"
 #include "geometry/quantize.h"
 #include "storage/page.h"
 
@@ -61,7 +63,9 @@ class SearchScratch {
   std::vector<double> dist;       // batch-kernel outputs, one per page row
   std::vector<PageRef> frontier;  // k-NN best-first min-heap backing store
   std::vector<std::pair<double, uint64_t>> best;  // bounded k max-heap
-  std::vector<const KdNode*> stack;               // intra-node kd walk
+  std::vector<const KdNode*> stack;               // box query's kd walk
+  std::vector<double> mindist;  // batched MINDIST, one per leaf-table row
+  Box box;  // BatchMinDistToBoxes scratch for the non-kernel metrics
   std::vector<Descent> descents;  // collect-then-descend (base-marked)
   std::vector<PageId> prefetch_ids;   // batch under construction
   std::vector<PageRef> prefetch_top;  // k-NN next-best frontier sample

@@ -696,6 +696,81 @@ bool BoxContainsAvx2(const float* alo, const float* ahi, const float* blo,
   return true;
 }
 
+// Batched MINDIST: four boxes per __m256d, one per double lane. Box
+// bounds are contiguous per dimension in the table, so each lane group
+// needs one 4-float load per bound per dimension; the n % 4 tail runs the
+// same body with maskload/maskstore (masked-off lanes read and write
+// nothing). `step(acc, gap, d)` is the metric's accumulation and
+// `finish(acc)` its final transform, both replaying the scalar loop.
+template <typename Step, typename Finish>
+inline void MinDist4(const float* q, size_t dim, const float* lo,
+                     const float* hi, size_t n, double* out, Step step,
+                     Finish finish) {
+  static constexpr int32_t kLaneOn[8] = {-1, -1, -1, -1, 0, 0, 0, 0};
+  for (size_t i = 0; i < n; i += 4) {
+    const size_t lanes = n - i >= 4 ? 4 : n - i;
+    const __m128i live = _mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(kLaneOn + 4 - lanes));
+    __m256d acc = _mm256_setzero_pd();
+    for (size_t d = 0; d < dim; ++d) {
+      const __m256d qd = _mm256_set1_pd(static_cast<double>(q[d]));
+      const __m256d l = _mm256_cvtps_pd(_mm_maskload_ps(lo + d * n + i, live));
+      const __m256d h = _mm256_cvtps_pd(_mm_maskload_ps(hi + d * n + i, live));
+      // AxisGap: q < lo ? lo - q : (q > hi ? q - hi : +0.0). Ordered
+      // compares, so a NaN bound never selects its branch; the below
+      // branch is blended last, so it wins as in the scalar code.
+      const __m256d below = _mm256_cmp_pd(qd, l, _CMP_LT_OQ);
+      const __m256d above = _mm256_cmp_pd(qd, h, _CMP_GT_OQ);
+      const __m256d g = _mm256_blendv_pd(
+          _mm256_and_pd(above, _mm256_sub_pd(qd, h)), _mm256_sub_pd(l, qd),
+          below);
+      acc = step(acc, g, d);
+    }
+    _mm256_maskstore_pd(out + i, _mm256_cvtepi32_epi64(live), finish(acc));
+  }
+}
+
+void MinDistL1Avx2(const float* q, size_t dim, const float* lo,
+                   const float* hi, size_t n, double* out) {
+  MinDist4(
+      q, dim, lo, hi, n, out,
+      [](__m256d acc, __m256d g, size_t) { return _mm256_add_pd(acc, g); },
+      [](__m256d acc) { return acc; });
+}
+
+void MinDistL2Avx2(const float* q, size_t dim, const float* lo,
+                   const float* hi, size_t n, double* out) {
+  MinDist4(
+      q, dim, lo, hi, n, out,
+      [](__m256d acc, __m256d g, size_t) {
+        return _mm256_add_pd(acc, _mm256_mul_pd(g, g));
+      },
+      [](__m256d acc) { return _mm256_sqrt_pd(acc); });
+}
+
+void MinDistLInfAvx2(const float* q, size_t dim, const float* lo,
+                     const float* hi, size_t n, double* out) {
+  MinDist4(
+      q, dim, lo, hi, n, out,
+      [](__m256d acc, __m256d g, size_t) {
+        // Scalar: if (g > m) m = g.
+        return _mm256_blendv_pd(acc, g, _mm256_cmp_pd(g, acc, _CMP_GT_OQ));
+      },
+      [](__m256d acc) { return acc; });
+}
+
+void MinDistWL2Avx2(const float* q, const double* w, size_t dim,
+                    const float* lo, const float* hi, size_t n, double* out) {
+  MinDist4(
+      q, dim, lo, hi, n, out,
+      [w](__m256d acc, __m256d g, size_t d) {
+        // Scalar association: s += (w[d] * g) * g.
+        const __m256d wg = _mm256_mul_pd(_mm256_set1_pd(w[d]), g);
+        return _mm256_add_pd(acc, _mm256_mul_pd(wg, g));
+      },
+      [](__m256d acc) { return _mm256_sqrt_pd(acc); });
+}
+
 }  // namespace
 
 const KernelTable& Avx2Table() {
@@ -705,7 +780,9 @@ const KernelTable& Avx2Table() {
       &CodeWL2Avx2,    &TL1Avx2,     &TL2Avx2,      &TLInfAvx2,
       &TWL2Avx2,       &CTL1Avx2,    &CTL2Avx2,     &CTLInfAvx2,
       &CTWL2Avx2,      &CTML1Avx2,   &CTML2Avx2,    &CTMLInfAvx2,
-      &CTMWL2Avx2,     &BoxIntersectsAvx2,          &BoxContainsAvx2};
+      &CTMWL2Avx2,     &BoxIntersectsAvx2,          &BoxContainsAvx2,
+      &MinDistL1Avx2,  &MinDistL2Avx2, &MinDistLInfAvx2,
+      &MinDistWL2Avx2};
   return table;
 }
 

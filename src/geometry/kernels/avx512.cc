@@ -613,6 +613,82 @@ bool BoxContainsAvx512(const float* alo, const float* ahi, const float* blo,
   return true;
 }
 
+// Batched MINDIST: eight boxes per __m512d, one per double lane. Box
+// bounds are contiguous per dimension in the table, so each lane group
+// needs one 8-float load per bound per dimension; the n % 8 tail runs the
+// same body under a lane mask (masked-off lanes load nothing and store
+// nothing). `step(acc, gap, d)` is the metric's accumulation and
+// `finish(acc)` its final transform, both replaying the scalar loop.
+template <typename Step, typename Finish>
+inline void MinDist8(const float* q, size_t dim, const float* lo,
+                     const float* hi, size_t n, double* out, Step step,
+                     Finish finish) {
+  for (size_t i = 0; i < n; i += 8) {
+    const __mmask8 live =
+        n - i >= 8 ? kAllLanes : static_cast<__mmask8>((1u << (n - i)) - 1);
+    __m512d acc = _mm512_setzero_pd();
+    for (size_t d = 0; d < dim; ++d) {
+      const __m512d qd = _mm512_set1_pd(static_cast<double>(q[d]));
+      const __m512d l =
+          _mm512_cvtps_pd(_mm256_maskz_loadu_ps(live, lo + d * n + i));
+      const __m512d h =
+          _mm512_cvtps_pd(_mm256_maskz_loadu_ps(live, hi + d * n + i));
+      // AxisGap: q < lo ? lo - q : (q > hi ? q - hi : +0.0). Ordered
+      // compares, so a NaN bound never selects its branch; the below
+      // branch is applied last, so it wins as in the scalar code.
+      const __mmask8 below = _mm512_cmp_pd_mask(qd, l, _CMP_LT_OQ);
+      const __mmask8 above = _mm512_cmp_pd_mask(qd, h, _CMP_GT_OQ);
+      __m512d g = _mm512_maskz_sub_pd(above, qd, h);
+      g = _mm512_mask_sub_pd(g, below, l, qd);
+      acc = step(acc, g, d);
+    }
+    _mm512_mask_storeu_pd(out + i, live, finish(acc));
+  }
+}
+
+void MinDistL1Avx512(const float* q, size_t dim, const float* lo,
+                     const float* hi, size_t n, double* out) {
+  MinDist8(
+      q, dim, lo, hi, n, out,
+      [](__m512d acc, __m512d g, size_t) { return _mm512_add_pd(acc, g); },
+      [](__m512d acc) { return acc; });
+}
+
+void MinDistL2Avx512(const float* q, size_t dim, const float* lo,
+                     const float* hi, size_t n, double* out) {
+  MinDist8(
+      q, dim, lo, hi, n, out,
+      [](__m512d acc, __m512d g, size_t) {
+        return _mm512_add_pd(acc, _mm512_mul_pd(g, g));
+      },
+      [](__m512d acc) { return _mm512_sqrt_pd(acc); });
+}
+
+void MinDistLInfAvx512(const float* q, size_t dim, const float* lo,
+                       const float* hi, size_t n, double* out) {
+  MinDist8(
+      q, dim, lo, hi, n, out,
+      [](__m512d acc, __m512d g, size_t) {
+        // Scalar: if (g > m) m = g.
+        return _mm512_mask_mov_pd(acc, _mm512_cmp_pd_mask(g, acc, _CMP_GT_OQ),
+                                  g);
+      },
+      [](__m512d acc) { return acc; });
+}
+
+void MinDistWL2Avx512(const float* q, const double* w, size_t dim,
+                      const float* lo, const float* hi, size_t n,
+                      double* out) {
+  MinDist8(
+      q, dim, lo, hi, n, out,
+      [w](__m512d acc, __m512d g, size_t d) {
+        // Scalar association: s += (w[d] * g) * g.
+        const __m512d wg = _mm512_mul_pd(_mm512_set1_pd(w[d]), g);
+        return _mm512_add_pd(acc, _mm512_mul_pd(wg, g));
+      },
+      [](__m512d acc) { return _mm512_sqrt_pd(acc); });
+}
+
 }  // namespace
 
 const KernelTable& Avx512Table() {
@@ -622,7 +698,9 @@ const KernelTable& Avx512Table() {
       &CodeWL2Avx512,    &TL1Avx512,     &TL2Avx512,      &TLInfAvx512,
       &TWL2Avx512,       &CTL1Avx512,    &CTL2Avx512,     &CTLInfAvx512,
       &CTWL2Avx512,      &CTML1Avx512,   &CTML2Avx512,    &CTMLInfAvx512,
-      &CTMWL2Avx512,     &BoxIntersectsAvx512,            &BoxContainsAvx512};
+      &CTMWL2Avx512,     &BoxIntersectsAvx512,            &BoxContainsAvx512,
+      &MinDistL1Avx512,  &MinDistL2Avx512, &MinDistLInfAvx512,
+      &MinDistWL2Avx512};
   return table;
 }
 

@@ -5,7 +5,8 @@
 // AVX-512 (compiled only when the toolchain supports the flags; executed
 // only when CPUID reports support) — each providing bounded batch-distance
 // kernels for L1/L2/LInf/WeightedL2 over the DataPageScan::block() layout,
-// plus u8 code-filter kernels for the quantized page sidecars. The tier is
+// u8 code-filter kernels for the quantized page sidecars, and batched
+// MINDIST over an index node's flat leaf-box table. The tier is
 // selected ONCE at startup: best CPUID-supported tier, overridable with
 // HT_SIMD=scalar|avx2|avx512 (unsupported requests clamp down to the best
 // supported tier), and pinnable in-process with ForceTier() for tests and
@@ -154,6 +155,32 @@ using CodeMaskTWeightedFn = void (*)(const float* above, const float* below,
 using BoxPredFn = bool (*)(const float* alo, const float* ahi,
                            const float* blo, const float* bhi, size_t dim);
 
+/// Per-dimension gap between q and the closed interval [lo, hi]; 0 inside.
+/// The one scalar formulation of MINDIST's per-axis term: the metrics'
+/// MinDistToBox and every mindist_* tier use it (the SIMD lanes replay its
+/// two ordered compares), so a NaN bound never yields a gap from its side.
+inline double AxisGap(double q, double lo, double hi) {
+  if (q < lo) return lo - q;
+  if (q > hi) return q - hi;
+  return 0.0;
+}
+
+/// Batched MINDIST from one query to `n` boxes stored dimension-major
+/// (box i spans [lo[d * n + i], hi[d * n + i]] in dimension d — an index
+/// node's leaf table, core/node.h). Vectorized ACROSS BOXES, one box per
+/// double lane: each lane replays the matching MinDistToBox loop exactly
+/// (AxisGap per dimension in ascending order, separate mul/add, final
+/// sqrt for L2/WL2), so out[i] is bitwise identical to
+/// MinDistToBox(q, box i) at every tier, for every input (±0 and NaN
+/// bounds included). Box loads are contiguous per dimension; the n % lanes
+/// tail uses masked loads and stores, never reads past lo/hi + dim * n.
+using MinDistFn = void (*)(const float* q, size_t dim, const float* lo,
+                           const float* hi, size_t n, double* out);
+/// WeightedL2 variant: per-dimension term (w[d] * gap) * gap.
+using MinDistWeightedFn = void (*)(const float* q, const double* w,
+                                   size_t dim, const float* lo,
+                                   const float* hi, size_t n, double* out);
+
 struct KernelTable {
   SimdTier tier;
   BatchBoundFn l1;
@@ -178,6 +205,10 @@ struct KernelTable {
   CodeMaskTWeightedFn ctm_wl2;
   BoxPredFn box_intersects;
   BoxPredFn box_contains;
+  MinDistFn mindist_l1;
+  MinDistFn mindist_l2;
+  MinDistFn mindist_linf;
+  MinDistWeightedFn mindist_wl2;
 };
 
 /// The table the metrics dispatch through (see the selection rules above).

@@ -249,6 +249,59 @@ bool BoxContainsScalar(const float* alo, const float* ahi, const float* blo,
   return true;
 }
 
+// Batched MINDIST: dimension-outer so the table is read contiguously;
+// out[i] accumulates box i's terms in ascending dimension order, exactly
+// the per-box MinDistToBox loop.
+void MinDistL1Scalar(const float* q, size_t dim, const float* lo,
+                     const float* hi, size_t n, double* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double qd = q[d];
+    for (size_t i = 0; i < n; ++i) {
+      out[i] += AxisGap(qd, lo[d * n + i], hi[d * n + i]);
+    }
+  }
+}
+
+void MinDistL2Scalar(const float* q, size_t dim, const float* lo,
+                     const float* hi, size_t n, double* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double qd = q[d];
+    for (size_t i = 0; i < n; ++i) {
+      const double g = AxisGap(qd, lo[d * n + i], hi[d * n + i]);
+      out[i] += g * g;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) out[i] = std::sqrt(out[i]);
+}
+
+void MinDistLInfScalar(const float* q, size_t dim, const float* lo,
+                       const float* hi, size_t n, double* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double qd = q[d];
+    for (size_t i = 0; i < n; ++i) {
+      const double g = AxisGap(qd, lo[d * n + i], hi[d * n + i]);
+      if (g > out[i]) out[i] = g;
+    }
+  }
+}
+
+void MinDistWL2Scalar(const float* q, const double* w, size_t dim,
+                      const float* lo, const float* hi, size_t n,
+                      double* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double qd = q[d];
+    for (size_t i = 0; i < n; ++i) {
+      const double g = AxisGap(qd, lo[d * n + i], hi[d * n + i]);
+      out[i] += w[d] * g * g;
+    }
+  }
+  for (size_t i = 0; i < n; ++i) out[i] = std::sqrt(out[i]);
+}
+
 }  // namespace
 
 const KernelTable& ScalarTable() {
@@ -258,7 +311,9 @@ const KernelTable& ScalarTable() {
       &CodeWL2Scalar,    &TL1Scalar,     &TL2Scalar,      &TLInfScalar,
       &TWL2Scalar,       &CTL1Scalar,    &CTL2Scalar,     &CTLInfScalar,
       &CTWL2Scalar,      &CTML1Scalar,   &CTML2Scalar,    &CTMLInfScalar,
-      &CTMWL2Scalar,     &BoxIntersectsScalar,            &BoxContainsScalar};
+      &CTMWL2Scalar,     &BoxIntersectsScalar,            &BoxContainsScalar,
+      &MinDistL1Scalar,  &MinDistL2Scalar, &MinDistLInfScalar,
+      &MinDistWL2Scalar};
   return table;
 }
 

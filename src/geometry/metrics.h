@@ -150,6 +150,29 @@ class DistanceMetric {
     return false;
   }
 
+  /// MINDIST from `q` to each of `n` boxes stored dimension-major — box i
+  /// spans [lo[d * n + i], hi[d * n + i]] in dimension d, the layout of an
+  /// index node's leaf table (core/node.h). out[i] must be bit-identical
+  /// to MinDistToBox(q, box i): like the batch distance kernels, this is
+  /// an execution strategy, never an approximation. The default copies
+  /// each box into `*scratch`, a caller-owned Box that is resized only
+  /// when its dimensionality differs (so a reused scratch makes the loop
+  /// allocation-free), and calls MinDistToBox. The kernel-backed metrics
+  /// make one SIMD call for all n boxes and leave `scratch` untouched.
+  virtual void BatchMinDistToBoxes(std::span<const float> q, const float* lo,
+                                   const float* hi, size_t n, Box* scratch,
+                                   double* out) const {
+    const auto dim = static_cast<uint32_t>(q.size());
+    if (scratch->dim() != dim) *scratch = Box::Empty(dim);
+    for (size_t i = 0; i < n; ++i) {
+      for (uint32_t d = 0; d < dim; ++d) {
+        scratch->set_lo(d, lo[d * n + i]);
+        scratch->set_hi(d, hi[d * n + i]);
+      }
+      out[i] = MinDistToBox(q, *scratch);
+    }
+  }
+
   /// True when the metric implements the code-space machinery
   /// (CodeLowerBounds / CodeFilterMasks and the transposed mirror kernel).
   /// The default matches the base-class fallbacks above: no code-space
@@ -194,11 +217,8 @@ inline uint8_t TailMask(const double* lb, size_t n, double bound) {
 
 namespace metric_detail {
 /// Per-dimension gap between q[d] and the interval [lo,hi]; 0 if inside.
-inline double AxisGap(double q, double lo, double hi) {
-  if (q < lo) return lo - q;
-  if (q > hi) return q - hi;
-  return 0.0;
-}
+/// Shared with the mindist_* kernels, which must replay it bit for bit.
+using kernels::AxisGap;
 }  // namespace metric_detail
 
 /// Minkowski L_p metric for finite p >= 1. Specialized subclasses exist for
@@ -335,6 +355,11 @@ class L1Metric final : public DistanceMetric {
     }
     return true;
   }
+  void BatchMinDistToBoxes(std::span<const float> q, const float* lo,
+                           const float* hi, size_t n, Box* /*scratch*/,
+                           double* out) const override {
+    kernels::Active().mindist_l1(q.data(), q.size(), lo, hi, n, out);
+  }
   bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "L1"; }
 };
@@ -426,6 +451,11 @@ class L2Metric final : public DistanceMetric {
           metric_detail::TailMask(lb, page.count - done, bound);
     }
     return true;
+  }
+  void BatchMinDistToBoxes(std::span<const float> q, const float* lo,
+                           const float* hi, size_t n, Box* /*scratch*/,
+                           double* out) const override {
+    kernels::Active().mindist_l2(q.data(), q.size(), lo, hi, n, out);
   }
   bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "L2"; }
@@ -524,6 +554,11 @@ class LInfMetric final : public DistanceMetric {
           metric_detail::TailMask(lb, page.count - done, bound);
     }
     return true;
+  }
+  void BatchMinDistToBoxes(std::span<const float> q, const float* lo,
+                           const float* hi, size_t n, Box* /*scratch*/,
+                           double* out) const override {
+    kernels::Active().mindist_linf(q.data(), q.size(), lo, hi, n, out);
   }
   bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "Linf"; }
@@ -637,6 +672,12 @@ class WeightedL2Metric final : public DistanceMetric {
           metric_detail::TailMask(lb, page.count - done, bound);
     }
     return true;
+  }
+  void BatchMinDistToBoxes(std::span<const float> q, const float* lo,
+                           const float* hi, size_t n, Box* /*scratch*/,
+                           double* out) const override {
+    kernels::Active().mindist_wl2(q.data(), w_.data(), q.size(), lo, hi, n,
+                                  out);
   }
   bool SupportsCodeFilter() const override { return true; }
   std::string Name() const override { return "WeightedL2"; }

@@ -381,6 +381,19 @@ TEST(BoxKernelSweep, AllTiersMatchScalarReference) {
         EXPECT_EQ(a.Intersects(b), want_int);
         EXPECT_EQ(a.ContainsBox(b), want_con);
       }
+      // The box walk's leaf tests read b from a row of an index node's
+      // dimension-major leaf table (here row 1 of 3, between two rows of
+      // unrelated bounds) and must give the same answers.
+      LeafTable table;
+      table.child = {1, 2, 3};
+      table.lo.assign(size_t{3} * dim, 0.5f);
+      table.hi.assign(size_t{3} * dim, -0.5f);
+      for (uint32_t d = 0; d < dim; ++d) {
+        table.lo[d * 3 + 1] = blo[d];
+        table.hi[d * 3 + 1] = bhi[d];
+      }
+      EXPECT_EQ(table.QueryIntersects(a, 1), want_int) << "dim=" << dim;
+      EXPECT_EQ(table.QueryContains(a, 1), want_con) << "dim=" << dim;
     }
   }
 }
@@ -402,6 +415,94 @@ TEST(BoxKernelSweep, NanBoundsNeverProveDisjointness) {
       EXPECT_TRUE(
           t.box_contains(lo.data(), hi.data(), nlo.data(), nhi.data(), dim))
           << kernels::TierName(tier) << " dim=" << dim;
+    }
+  }
+}
+
+// Batched MINDIST over a dimension-major leaf table
+// (DistanceMetric::BatchMinDistToBoxes, KernelTable::mindist_*): at every
+// tier, out[i] must equal the per-box MinDistToBox bit for bit. Sweeps dims
+// 1..40 and box counts 0..19 (every AVX2 4-lane and AVX-512 8-lane body
+// and tail length, past two full groups), with boxes drawn from a lattice
+// so faces and ties are common, plus edge rows: degenerate boxes
+// (lo == hi), boxes containing the query, the query on a face, signed
+// zeros, and NaN bounds. The generic Lp and quadratic-form metrics run the
+// default per-box loop and are held to the same rule.
+TEST(MinDistKernelSweep, BitIdenticalToMinDistToBox) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(20261020);
+  const auto lattice = [&rng]() {
+    return static_cast<float>(rng.NextBelow(9)) / 8.0f;
+  };
+  for (uint32_t dim = 1; dim <= 40; ++dim) {
+    std::vector<std::unique_ptr<DistanceMetric>> metrics;
+    for (int m = 0; m < 6; ++m) metrics.push_back(MakeMetric(m, dim));
+    for (size_t n = 0; n <= 19; ++n) {
+      std::vector<float> q(dim);
+      for (uint32_t d = 0; d < dim; ++d) q[d] = lattice();
+      if (dim > 1) q[1] = -0.0f;
+      std::vector<float> lo(size_t{dim} * n), hi(size_t{dim} * n);
+      for (size_t i = 0; i < n; ++i) {
+        for (uint32_t d = 0; d < dim; ++d) {
+          const float a = lattice(), b = lattice();
+          float l = std::min(a, b), h = std::max(a, b);
+          switch (i % 7) {
+            case 1:  // degenerate: a point
+              h = l;
+              break;
+            case 2:  // contains the query
+              l = std::min(l, q[d]);
+              h = std::max(h, q[d]);
+              break;
+            case 3:  // the query on a face
+              (d % 2 == 0 ? l : h) = q[d];
+              break;
+            case 4:  // signed zeros on both sides
+              l = -0.0f;
+              h = d % 2 == 0 ? 0.0f : -0.0f;
+              break;
+            case 5:  // NaN bounds: lo, hi, or both
+              if (d % 3 == 0) l = nan;
+              if (d % 3 == 1) h = nan;
+              if (d % 3 == 2) l = h = nan;
+              break;
+            case 6:  // inverted (empty) interval
+              std::swap(l, h);
+              break;
+            default:
+              break;
+          }
+          lo[d * n + i] = l;
+          hi[d * n + i] = h;
+        }
+      }
+      for (size_t m = 0; m < metrics.size(); ++m) {
+        std::vector<double> ref(n);
+        for (size_t i = 0; i < n; ++i) {
+          std::vector<float> blo(dim), bhi(dim);
+          for (uint32_t d = 0; d < dim; ++d) {
+            blo[d] = lo[d * n + i];
+            bhi[d] = hi[d * n + i];
+          }
+          ref[i] = metrics[m]->MinDistToBox(q, Box::FromBounds(blo, bhi));
+        }
+        for (const kernels::SimdTier tier : SupportedTiers()) {
+          ScopedTier forced(tier);
+          // Sentinels past n catch a tail store outside the table.
+          std::vector<double> out(n + 8, -7.0);
+          Box scratch;
+          metrics[m]->BatchMinDistToBoxes(q, lo.data(), hi.data(), n,
+                                          &scratch, out.data());
+          for (size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::bit_cast<uint64_t>(out[i]),
+                      std::bit_cast<uint64_t>(ref[i]))
+                << metrics[m]->Name() << " tier "
+                << kernels::TierName(tier) << " dim " << dim << " n " << n
+                << " box " << i << ": " << out[i] << " vs " << ref[i];
+          }
+          for (size_t i = n; i < out.size(); ++i) ASSERT_EQ(out[i], -7.0);
+        }
+      }
     }
   }
 }

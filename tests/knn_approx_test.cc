@@ -385,6 +385,8 @@ TEST(KnnApproxSidecars, CursorScansChargeCursorCounters) {
   if (kernels::BestSupportedTier() == kernels::SimdTier::kScalar) {
     GTEST_SKIP() << "quant filter disabled at scalar tier";
   }
+  // Pinned: under HT_SIMD=scalar the active tier would disable the filter.
+  ScopedTier forced(kernels::BestSupportedTier());
   Fixture f(/*quant=*/true);
   L2Metric l2;
   f.tree->pool().ResetStats();
@@ -492,7 +494,8 @@ TEST(KnnApproxServer, TenantTiersOverridesAndMetrics) {
   EXPECT_GT(fast_m.knn_early_terminations, 0u);
   // Override requests ran exact: they added no early terminations.
   EXPECT_LE(fast_m.knn_early_terminations, uint64_t{2} * kQueries);
-  if (kernels::BestSupportedTier() != kernels::SimdTier::kScalar) {
+  // The filter runs only off the scalar tier (HT_SIMD=scalar forces it).
+  if (kernels::ActiveTier() != kernels::SimdTier::kScalar) {
     EXPECT_GT(fast_m.quant_prune_rate, 0.0);
   }
 

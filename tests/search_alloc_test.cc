@@ -58,7 +58,7 @@ TEST(SearchAllocTest, SteadyStateQueriesDoNotAllocate) {
 
   HybridTreeOptions o;
   o.dim = dim;
-  o.page_size = 4096;
+  o.page_size = 1024;  // small pages: a tree of several index levels
   MemPagedFile file(o.page_size);
   auto tree = HybridTree::Create(o, &file).ValueOrDie();
   for (size_t i = 0; i < data.size(); ++i) {
@@ -94,6 +94,10 @@ TEST(SearchAllocTest, SteadyStateQueriesDoNotAllocate) {
       ASSERT_TRUE(
           tree->SearchKnnInto(centers[q], 20, l2, &scratch, &neighbors).ok());
       ASSERT_FALSE(neighbors.empty());
+      ASSERT_TRUE(tree->SearchKnnApproxInto(centers[q], 20, l2, 0.5, &scratch,
+                                            &neighbors)
+                      .ok());
+      ASSERT_FALSE(neighbors.empty());
     }
   };
 
@@ -107,6 +111,31 @@ TEST(SearchAllocTest, SteadyStateQueriesDoNotAllocate) {
   const size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << (after - before) << " heap allocations in the steady-state loop";
+
+  // A cursor owns its buffers, so opening one allocates and its first
+  // pull grows them (root expansion, first page scan, and with it the self
+  // bound). The rest of the drain — further index-node expansions with
+  // their batched MINDIST, and bound-filtered page scans — reuses them.
+  KnnCursorOptions copts;
+  copts.limit = 20;
+  size_t drain_allocs = 0;
+  uint64_t drain_leaf_visits = 0;
+  for (int q = 0; q < kQueries; ++q) {
+    auto cursor = tree->OpenKnnCursor(centers[q], l2, copts);
+    ASSERT_TRUE(cursor.Next().ValueOrDie().has_value());
+    const uint64_t warm_visits = cursor.leaf_visits();
+    const size_t start = g_allocations.load(std::memory_order_relaxed);
+    while (true) {
+      auto next = cursor.Next();
+      ASSERT_TRUE(next.ok());
+      if (!next.ValueOrDie().has_value()) break;
+    }
+    drain_allocs += g_allocations.load(std::memory_order_relaxed) - start;
+    drain_leaf_visits += cursor.leaf_visits() - warm_visits;
+  }
+  EXPECT_GT(drain_leaf_visits, 0u) << "the measured drains scanned nothing";
+  EXPECT_EQ(drain_allocs, 0u)
+      << drain_allocs << " heap allocations in steady-state cursor drains";
 }
 
 }  // namespace
